@@ -33,12 +33,11 @@ fn ablation_currency_filter(c: &mut Criterion) {
     // Crawl non-discriminating filler retailers: every flag is false.
     let mut config = Scale::Small.config(1307);
     config.filler_domains = 40;
-    let exp = Experiment::new(config);
+    let world = World::build(&config);
     // Uniform AND not a tax-inliner: the tax confound produces *real*
     // (but non-discrimination) variation and is handled by the pipeline's
     // tax check, not the currency filter under ablation here.
-    let uniform_domains: Vec<String> = exp
-        .world()
+    let uniform_domains: Vec<String> = world
         .web
         .servers()
         .iter()
@@ -55,8 +54,8 @@ fn ablation_currency_filter(c: &mut Criterion) {
             ..pd_crawler::CrawlConfig::default()
         },
     );
-    let (store, _) = crawler.crawl(&exp.world().web, &exp.world().sheriff, &uniform_domains);
-    let fx = exp.world().web.fx();
+    let (store, _) = crawler.crawl(&world.web, &world.sheriff, &uniform_domains);
+    let fx = world.web.fx();
 
     let naive_fp = store
         .records()
@@ -288,8 +287,7 @@ fn ablation_extraction(c: &mut Criterion) {
 /// location-keyed retailer stays at 100 %.
 fn ablation_repeats(c: &mut Criterion) {
     let config = Scale::Small.config(1307);
-    let exp = Experiment::new(config);
-    let world = exp.world();
+    let world = &World::build(&config);
     let fx = world.web.fx();
 
     let consistent_with_repeats = |domain: &str, k: usize| -> usize {

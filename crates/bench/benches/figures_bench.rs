@@ -8,11 +8,21 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pd_bench::Scale;
-use pd_core::{Experiment, ExperimentConfig};
+use pd_core::{stage, Engine, Executor, ExperimentConfig, NullObserver, RunPlan};
 use std::hint::black_box;
+use std::sync::Arc;
+
+/// A serial, unobserved engine over a bare config.
+fn engine(config: ExperimentConfig) -> Engine {
+    Engine::from_plan(
+        RunPlan::new(config),
+        Executor::serial(),
+        Arc::new(NullObserver),
+    )
+}
 
 struct Prebuilt {
-    exp: Experiment,
+    engine: Engine,
     crowd_raw: pd_sheriff::MeasurementStore,
     crowd_clean: pd_sheriff::MeasurementStore,
     cleaning: pd_sheriff::cleaning::CleaningReport,
@@ -22,14 +32,18 @@ struct Prebuilt {
 }
 
 fn prebuild() -> Prebuilt {
-    let mut exp = Experiment::new(Scale::Small.config(1307));
-    let (crowd_raw, crowd_clean, cleaning) = exp.run_crowd_phase();
-    let (crawl_store, _) = exp.run_crawl_phase();
-    let fx = exp.world().web.fx();
+    let mut engine = engine(Scale::Small.config(1307));
+    let pd_core::CrowdArtifact {
+        raw: crowd_raw,
+        cleaned: crowd_clean,
+        cleaning,
+    } = engine.crowd().clone();
+    let crawl_store = engine.crawl().store.clone();
+    let fx = engine.world().web.fx();
     let crowd_frame = pd_analysis::CheckFrame::build(&crowd_clean, fx);
     let crawl_frame = pd_analysis::CheckFrame::build(&crawl_store, fx);
     Prebuilt {
-        exp,
+        engine,
         crowd_raw,
         crowd_clean,
         cleaning,
@@ -44,22 +58,30 @@ fn bench_pipeline_phases(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("t0_dataset_summary_full_small_run", |b| {
         b.iter(|| {
-            let report = Experiment::run(ExperimentConfig::small(1307));
+            let report = engine(ExperimentConfig::small(1307)).run();
             black_box(report.summary.crowd_requests)
         });
     });
     group.bench_function("crowd_phase", |b| {
         b.iter(|| {
-            let mut exp = Experiment::new(Scale::Small.config(7));
-            let (raw, clean, _) = exp.run_crowd_phase();
-            black_box((raw.len(), clean.len()))
+            let mut engine = engine(Scale::Small.config(7));
+            let crowd = engine.crowd();
+            black_box((crowd.raw.len(), crowd.cleaned.len()))
         });
     });
     group.bench_function("crawl_phase", |b| {
-        let exp = Experiment::new(Scale::Small.config(7));
+        // The stage function itself: `Engine::crawl` would cache.
+        let engine = engine(Scale::Small.config(7));
+        let targets = engine.world().paper_crawl_targets();
         b.iter(|| {
-            let (store, stats) = exp.run_crawl_phase();
-            black_box((store.len(), stats.len()))
+            let crawl = stage::crawl_stage(
+                engine.world(),
+                engine.config(),
+                &targets,
+                engine.executor(),
+                &NullObserver,
+            );
+            black_box((crawl.store.len(), crawl.stats.len()))
         });
     });
     group.finish();
@@ -67,9 +89,9 @@ fn bench_pipeline_phases(c: &mut Criterion) {
 
 fn bench_figures(c: &mut Criterion) {
     let pre = prebuild();
-    let labels = pre.exp.world().vantage_labels();
+    let labels = pre.engine.world().vantage_labels();
     let finland = pre
-        .exp
+        .engine
         .world()
         .vantage_by_label("Finland - Tampere")
         .unwrap()
@@ -143,7 +165,7 @@ fn bench_figures(c: &mut Criterion) {
     let mut heavy = c.benchmark_group("figure_harnesses");
     heavy.sample_size(10);
     heavy.bench_function("fig10_login", |b| {
-        let world = pre.exp.world();
+        let world = pre.engine.world();
         let boston = world.vantage_by_label("USA - Boston").unwrap().clone();
         b.iter(|| {
             let exp = pd_sheriff::personas::login_experiment(
@@ -159,7 +181,7 @@ fn bench_figures(c: &mut Criterion) {
         });
     });
     heavy.bench_function("t1_thirdparty", |b| {
-        let world = pre.exp.world();
+        let world = pre.engine.world();
         let boston = world.vantage_by_label("USA - Boston").unwrap().clone();
         let targets = world.paper_crawl_targets();
         b.iter(|| {
@@ -172,7 +194,7 @@ fn bench_figures(c: &mut Criterion) {
         });
     });
     heavy.bench_function("cleaning", |b| {
-        let fx = pre.exp.world().web.fx();
+        let fx = pre.engine.world().web.fx();
         b.iter(|| {
             let (kept, report) = pd_sheriff::cleaning::clean(&pre.crowd_raw, fx, |m| m.user_price);
             black_box((kept.len(), report))

@@ -11,7 +11,8 @@
 //! With no figure flags, everything is printed in paper order.
 
 use pd_bench::Scale;
-use pd_core::{Experiment, Report};
+use pd_core::{Engine, Executor, NullObserver, Report, RunPlan};
+use std::sync::Arc;
 
 struct Args {
     scale: Scale,
@@ -108,10 +109,12 @@ fn main() {
         args.scale, args.seed
     );
     let started = std::time::Instant::now();
-    let mut exp = Experiment::new(args.scale.config(args.seed));
-    let (crowd_raw, crowd_clean, cleaning) = exp.run_crowd_phase();
-    let (crawl_store, _stats) = exp.run_crawl_phase();
-    let report = exp.analyze(&crowd_raw, &crowd_clean, cleaning, &crawl_store);
+    let mut engine = Engine::from_plan(
+        RunPlan::new(args.scale.config(args.seed)),
+        Executor::serial(),
+        Arc::new(NullObserver),
+    );
+    let report = engine.run();
     eprintln!("# pipeline finished in {:.1?}", started.elapsed());
 
     print_report(&args, &report);
@@ -132,10 +135,22 @@ fn main() {
             std::process::exit(1);
         }
         let files = [
-            ("crowd.csv", pd_sheriff::export::to_csv(&crowd_clean)),
-            ("crowd.jsonl", pd_sheriff::export::to_jsonl(&crowd_clean)),
-            ("crawl.csv", pd_sheriff::export::to_csv(&crawl_store)),
-            ("crawl.jsonl", pd_sheriff::export::to_jsonl(&crawl_store)),
+            (
+                "crowd.csv",
+                pd_sheriff::export::to_csv(&engine.crowd().cleaned),
+            ),
+            (
+                "crowd.jsonl",
+                pd_sheriff::export::to_jsonl(&engine.crowd().cleaned),
+            ),
+            (
+                "crawl.csv",
+                pd_sheriff::export::to_csv(&engine.crawl().store),
+            ),
+            (
+                "crawl.jsonl",
+                pd_sheriff::export::to_jsonl(&engine.crawl().store),
+            ),
         ];
         for (name, body) in files {
             let path = dir.join(name);

@@ -4,17 +4,11 @@
 //! the measurement stores — at paper scale that is hundreds of
 //! thousands of band-filter evaluations repeated for every re-analysis,
 //! every `pd rerun`, and every sweep arm. The [`FrameCache`] memoizes
-//! frames at two granularities, keyed by the **measurement fingerprint**
-//! of the store they were cut from ([`crate::store`]):
-//!
-//! * *domain shards* — `(fingerprint, domain) → Arc<CheckFrame>`, built
-//!   in parallel (one task per retailer) on the deterministic
-//!   [`Executor`]; held only while a store's assembly is in flight and
-//!   released once the assembled frame is memoized (the rows would
-//!   otherwise be retained twice);
-//! * *assembled frames* — `fingerprint → Arc<CheckFrame>`, the shards
-//!   spliced back into exact store order with
-//!   [`CheckFrame::merge_shards`].
+//! assembled frames keyed by the **measurement fingerprint** of the
+//! store they were cut from ([`crate::store`]). A miss builds one shard
+//! per domain in parallel (one task per retailer) on the deterministic
+//! [`Executor`] and splices the shards back into exact store order with
+//! [`CheckFrame::merge_shards`].
 //!
 //! Because the key is the fingerprint — a digest of everything that can
 //! reshape the store — a cache hit is exactly as trustworthy as the
@@ -26,12 +20,12 @@
 //! through seed, config or engine knobs, all part of the fingerprint) —
 //! cross-arm reuse only materializes for custom sweeps whose arms vary
 //! nothing but [`crate::AnalysisConfig`]. If two such arms do race on a
-//! key, both may build the same shards; results are unaffected (equal
+//! key, both may build the same frame; results are unaffected (equal
 //! values, first insert wins) and only the per-arm `frames_built`
 //! counters over-report.
 //!
 //! ```
-//! use pd_core::{Executor, FrameCache};
+//! use pd_core::{Executor, FrameCache, StoreSource};
 //! use pd_currency::FxSeries;
 //! use pd_sheriff::MeasurementStore;
 //! use pd_util::Seed;
@@ -40,9 +34,9 @@
 //! let fx = FxSeries::generate(Seed::new(1), 10);
 //! let store = MeasurementStore::new();
 //! let exec = Executor::serial();
-//! let (frame, stats) = cache.frame_for(7, &store, &fx, &exec);
+//! let (frame, stats) = cache.frame(7, StoreSource::Memory(&store), &fx, &exec).unwrap();
 //! assert_eq!((stats.built, stats.reused), (0, 0), "empty store, no shards");
-//! let (again, stats) = cache.frame_for(7, &store, &fx, &exec);
+//! let (again, stats) = cache.frame(7, StoreSource::Memory(&store), &fx, &exec).unwrap();
 //! assert!(std::sync::Arc::ptr_eq(&frame, &again), "second call is a hit");
 //! assert_eq!(stats.built, 0);
 //! ```
@@ -50,24 +44,23 @@
 use crate::executor::Executor;
 use crate::observer::StageKind;
 use crate::store::{ChunkedPayload, StoreError};
-use pd_analysis::CheckFrame;
+use pd_analysis::{CheckFrame, CheckRow};
 use pd_currency::FxSeries;
 use pd_sheriff::{Measurement, MeasurementStore};
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// What one [`FrameCache::frame_for`] (or
-/// [`FrameCache::frame_for_chunked`]) call did: how many per-domain
-/// frames it had to build versus how many it served from the cache, and
-/// how many binary chunks it decoded to do so. Surfaced as the
+/// What one [`FrameCache::frame`] call did: how many per-domain frames
+/// it had to build versus how many it served from the cache, and how
+/// many binary chunks it decoded to do so. Surfaced as the
 /// `frames_built` / `frames_reused` / `frames_chunks_loaded` analysis
 /// counters on [`crate::RunObserver`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FrameStats {
     /// Domain frames built by this call.
     pub built: usize,
-    /// Domain frames (or a whole assembled frame) served from cache.
+    /// Domain frames served from cache (a whole assembled frame).
     pub reused: usize,
     /// Binary store chunks decoded from a [`ChunkedPayload`] by this
     /// call. Zero on the in-memory path and on every cache hit — a
@@ -76,15 +69,52 @@ pub struct FrameStats {
     pub chunks_loaded: usize,
 }
 
-/// One store's per-domain frame shards, keyed by interned domain.
-type DomainShards = HashMap<Arc<str>, Arc<CheckFrame>>;
+/// Where an analysis input store's rows come from: memory, or a chunked
+/// binary payload on disk that is decoded one domain chunk at a time
+/// (never materialized whole). Both variants yield row-identical frames
+/// and summaries; only the `frames_chunks_loaded` counter tells them
+/// apart.
+#[derive(Debug, Clone, Copy)]
+pub enum StoreSource<'a> {
+    /// Rows already in memory.
+    Memory(&'a MeasurementStore),
+    /// Rows on disk under the named row section of a chunked payload.
+    Chunked(&'a ChunkedPayload, &'static str),
+}
 
-/// Shared, thread-safe cache of per-domain [`CheckFrame`]s keyed by
+impl StoreSource<'_> {
+    /// Feeds every row of this source to `f`, one chunk at a time for
+    /// chunked sources.
+    pub(crate) fn scan(&self, mut f: impl FnMut(&Measurement)) -> Result<(), StoreError> {
+        match self {
+            Self::Memory(store) => {
+                store.records().iter().for_each(f);
+                Ok(())
+            }
+            Self::Chunked(payload, section) => {
+                for name in payload.chunk_names(section) {
+                    for m in payload.read_chunk_rows::<Measurement>(section, name)? {
+                        f(&m);
+                    }
+                }
+                Ok(())
+            }
+        }
+    }
+}
+
+/// One domain's frame shard, from that domain's rows in store order.
+fn shard<'a>(rows: impl Iterator<Item = &'a Measurement>, fx: &FxSeries) -> CheckFrame {
+    CheckFrame::from_rows(
+        rows.filter_map(|m| CheckRow::from_measurement(m, fx))
+            .collect(),
+    )
+}
+
+/// Shared, thread-safe cache of assembled [`CheckFrame`]s keyed by
 /// store fingerprint. See the [module docs](self).
 #[derive(Debug, Default)]
 pub struct FrameCache {
-    /// `store fingerprint → domain →` that domain's frame shard.
-    shards: Mutex<HashMap<u64, DomainShards>>,
     /// `store fingerprint → (full frame, number of domain shards)`.
     assembled: Mutex<HashMap<u64, (Arc<CheckFrame>, usize)>>,
 }
@@ -96,239 +126,93 @@ impl FrameCache {
         Self::default()
     }
 
-    /// The analysis-ready frame for `store`, identified by `key` (the
-    /// producing stage's fingerprint). Missing domain shards are built
-    /// in parallel on `exec` — one task per retailer — and spliced into
-    /// store order; present shards (and whole assembled frames) are
-    /// reused. The returned frame is row-for-row identical to
-    /// `CheckFrame::build(store, fx)` at any thread count.
+    /// The analysis-ready frame for `source`, identified by `key` (the
+    /// producing stage's fingerprint). A hit returns the memoized frame;
+    /// a miss builds one shard per domain in parallel on `exec` and
+    /// splices them into store order. The frame is row-for-row
+    /// identical to `CheckFrame::build` over the source's rows at any
+    /// thread count, whichever the source.
+    ///
+    /// Only per-domain row access differs between sources. A memory
+    /// store is partitioned by domain in one pass (rescanning it once
+    /// per domain would be quadratic at paper scale); a chunked payload
+    /// decodes exactly one chunk of its section per domain — chunks
+    /// follow store first-seen domain order and keep store order
+    /// inside, so both sources share one key space.
     ///
     /// Correctness rests on the fingerprint contract: `key` must change
     /// whenever the store's content could ([`crate::store`] derives it
     /// from the full measurement configuration).
     ///
-    /// # Panics
-    ///
-    /// Panics if a cache lock is poisoned (a frame build panicked).
-    #[must_use]
-    pub fn frame_for(
-        &self,
-        key: u64,
-        store: &MeasurementStore,
-        fx: &FxSeries,
-        exec: &Executor,
-    ) -> (Arc<CheckFrame>, FrameStats) {
-        if let Some((frame, shards)) = self.assembled.lock().expect("frame cache lock").get(&key) {
-            return (
-                Arc::clone(frame),
-                FrameStats {
-                    built: 0,
-                    reused: *shards,
-                    chunks_loaded: 0,
-                },
-            );
-        }
-
-        let domains = store.domains();
-        let mut have: Vec<Option<Arc<CheckFrame>>> = Vec::with_capacity(domains.len());
-        let mut missing: Vec<usize> = Vec::new();
-        {
-            let shards = self.shards.lock().expect("frame cache lock");
-            let for_key = shards.get(&key);
-            for (i, domain) in domains.iter().enumerate() {
-                match for_key.and_then(|m| m.get(domain.as_str())) {
-                    Some(hit) => have.push(Some(Arc::clone(hit))),
-                    None => {
-                        have.push(None);
-                        missing.push(i);
-                    }
-                }
-            }
-        }
-        let reused = domains.len() - missing.len();
-
-        // One pass over the store partitions record indices for the
-        // missing domains (`build_domain` per domain would rescan the
-        // whole store once per domain — quadratic at paper scale).
-        let records = store.records();
-        let mut slot_of: HashMap<&str, usize> = HashMap::with_capacity(missing.len());
-        for (slot, &i) in missing.iter().enumerate() {
-            slot_of.insert(domains[i].as_str(), slot);
-        }
-        let mut members: Vec<Vec<usize>> = vec![Vec::new(); missing.len()];
-        if !missing.is_empty() {
-            for (idx, m) in records.iter().enumerate() {
-                if let Some(&slot) = slot_of.get(m.domain.as_str()) {
-                    members[slot].push(idx);
-                }
-            }
-        }
-
-        // Build the missing shards outside the lock, in parallel; the
-        // executor's index-ordered merge keeps this deterministic.
-        let built = exec.map_indexed(missing.len(), |j| {
-            Arc::new(CheckFrame::from_rows(
-                members[j]
-                    .iter()
-                    .filter_map(|&idx| pd_analysis::CheckRow::from_measurement(&records[idx], fx))
-                    .collect(),
-            ))
-        });
-        {
-            let mut shards = self.shards.lock().expect("frame cache lock");
-            let for_key = shards.entry(key).or_default();
-            for (j, frame) in built.iter().enumerate() {
-                let domain: Arc<str> = pd_util::intern(&domains[missing[j]]);
-                for_key.entry(domain).or_insert_with(|| Arc::clone(frame));
-            }
-        }
-        for (j, frame) in built.iter().enumerate() {
-            have[missing[j]] = Some(Arc::clone(frame));
-        }
-
-        let frame = Arc::new(CheckFrame::merge_shards(
-            have.iter()
-                .map(|f| f.as_deref().expect("all shards present")),
-        ));
-        self.assembled
-            .lock()
-            .expect("frame cache lock")
-            .entry(key)
-            .or_insert_with(|| (Arc::clone(&frame), domains.len()));
-        // The assembled frame supersedes the shards: every future call
-        // under this key returns it before consulting the shard map, so
-        // keeping the shards would hold every row in memory twice.
-        self.shards.lock().expect("frame cache lock").remove(&key);
-        (
-            frame,
-            FrameStats {
-                built: missing.len(),
-                reused,
-                chunks_loaded: 0,
-            },
-        )
-    }
-
-    /// Like [`FrameCache::frame_for`], but cut from a **chunked binary
-    /// payload** instead of an in-memory [`MeasurementStore`]: each
-    /// missing domain shard is produced by decoding only that domain's
-    /// chunk of `section` from `payload` — the whole measurement store
-    /// is never materialized. `FrameStats::chunks_loaded` reports how
-    /// many chunks were actually decoded (zero on a cache hit), which
-    /// is what the `frames_chunks_loaded` counter surfaces.
-    ///
-    /// Chunks are partitioned by domain in store first-seen order and
-    /// each chunk keeps original store order internally, so the result
-    /// is row-for-row identical to `frame_for` over the assembled
-    /// store — the two paths share one cache key space.
-    ///
     /// # Errors
     ///
     /// [`StoreError::Corrupt`] when a chunk is missing, fails its
-    /// checksum, or a row does not deserialize as a [`Measurement`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a cache lock is poisoned (a frame build panicked).
-    pub fn frame_for_chunked(
-        &self,
-        key: u64,
-        payload: &ChunkedPayload,
-        section: &str,
-        fx: &FxSeries,
-        exec: &Executor,
-    ) -> Result<(Arc<CheckFrame>, FrameStats), StoreError> {
-        if let Some((frame, shards)) = self.assembled.lock().expect("frame cache lock").get(&key) {
-            return Ok((
-                Arc::clone(frame),
-                FrameStats {
-                    built: 0,
-                    reused: *shards,
-                    chunks_loaded: 0,
-                },
-            ));
-        }
-
-        let domains: Vec<String> = payload
-            .chunk_names(section)
-            .into_iter()
-            .map(str::to_owned)
-            .collect();
-        let mut have: Vec<Option<Arc<CheckFrame>>> = Vec::with_capacity(domains.len());
-        let mut missing: Vec<usize> = Vec::new();
-        {
-            let shards = self.shards.lock().expect("frame cache lock");
-            let for_key = shards.get(&key);
-            for (i, domain) in domains.iter().enumerate() {
-                match for_key.and_then(|m| m.get(domain.as_str())) {
-                    Some(hit) => have.push(Some(Arc::clone(hit))),
-                    None => {
-                        have.push(None);
-                        missing.push(i);
-                    }
-                }
-            }
-        }
-        let reused = domains.len() - missing.len();
-
-        // Decode the missing domains' chunks in parallel — one disk
-        // read + row decode per retailer, nothing else leaves the file.
-        let built = exec.map_indexed(missing.len(), |j| {
-            let rows: Vec<Measurement> = payload.read_chunk_rows(section, &domains[missing[j]])?;
-            Ok::<_, StoreError>(Arc::new(CheckFrame::from_rows(
-                rows.iter()
-                    .filter_map(|m| pd_analysis::CheckRow::from_measurement(m, fx))
-                    .collect(),
-            )))
-        });
-        let built = built.into_iter().collect::<Result<Vec<_>, _>>()?;
-        {
-            let mut shards = self.shards.lock().expect("frame cache lock");
-            let for_key = shards.entry(key).or_default();
-            for (j, frame) in built.iter().enumerate() {
-                let domain: Arc<str> = pd_util::intern(&domains[missing[j]]);
-                for_key.entry(domain).or_insert_with(|| Arc::clone(frame));
-            }
-        }
-        for (j, frame) in built.iter().enumerate() {
-            have[missing[j]] = Some(Arc::clone(frame));
-        }
-
-        let frame = Arc::new(CheckFrame::merge_shards(
-            have.iter()
-                .map(|f| f.as_deref().expect("all shards present")),
-        ));
-        self.assembled
-            .lock()
-            .expect("frame cache lock")
-            .entry(key)
-            .or_insert_with(|| (Arc::clone(&frame), domains.len()));
-        self.shards.lock().expect("frame cache lock").remove(&key);
-        Ok((
-            frame,
-            FrameStats {
-                built: missing.len(),
-                reused,
-                chunks_loaded: missing.len(),
-            },
-        ))
-    }
-
-    /// Number of domain shards currently held for in-flight assemblies
-    /// (diagnostics only; drops back to zero once a store's assembled
-    /// frame is memoized).
+    /// checksum, or a row does not deserialize as a [`Measurement`]
+    /// (memory sources never fail).
     ///
     /// # Panics
     ///
     /// Panics if the cache lock is poisoned (a frame build panicked).
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards
+    pub fn frame(
+        &self,
+        key: u64,
+        source: StoreSource<'_>,
+        fx: &FxSeries,
+        exec: &Executor,
+    ) -> Result<(Arc<CheckFrame>, FrameStats), StoreError> {
+        if let Some((frame, shards)) = self.assembled.lock().expect("frame cache lock").get(&key) {
+            let stats = FrameStats {
+                reused: *shards,
+                ..FrameStats::default()
+            };
+            return Ok((Arc::clone(frame), stats));
+        }
+        // The executor's index-ordered merge keeps the build
+        // deterministic.
+        let (shards, chunks_loaded) = match source {
+            StoreSource::Memory(store) => {
+                let domains = store.domains();
+                let slot_of: HashMap<&str, usize> = domains
+                    .iter()
+                    .enumerate()
+                    .map(|(slot, domain)| (domain.as_str(), slot))
+                    .collect();
+                let records = store.records();
+                let mut members: Vec<Vec<usize>> = vec![Vec::new(); domains.len()];
+                for (idx, m) in records.iter().enumerate() {
+                    members[slot_of[m.domain.as_str()]].push(idx);
+                }
+                let shards = exec.map_indexed(domains.len(), |j| {
+                    shard(members[j].iter().map(|&idx| &records[idx]), fx)
+                });
+                (shards, 0)
+            }
+            StoreSource::Chunked(payload, section) => {
+                let domains = payload.chunk_names(section);
+                let shards = exec
+                    .map_indexed(domains.len(), |j| {
+                        let rows: Vec<Measurement> =
+                            payload.read_chunk_rows(section, domains[j])?;
+                        Ok::<_, StoreError>(shard(rows.iter(), fx))
+                    })
+                    .into_iter()
+                    .collect::<Result<Vec<_>, _>>()?;
+                let decoded = shards.len();
+                (shards, decoded)
+            }
+        };
+        let frame = Arc::new(CheckFrame::merge_shards(&shards));
+        self.assembled
             .lock()
             .expect("frame cache lock")
-            .values()
-            .map(DomainShards::len)
-            .sum()
+            .entry(key)
+            .or_insert_with(|| (Arc::clone(&frame), shards.len()));
+        let stats = FrameStats {
+            built: shards.len(),
+            reused: 0,
+            chunks_loaded,
+        };
+        Ok((frame, stats))
     }
 }
 
@@ -431,7 +315,7 @@ mod tests {
     use pd_currency::{Currency, Price};
     use pd_net::clock::SimTime;
     use pd_sheriff::measurement::NoiseTruth;
-    use pd_sheriff::{Measurement, PriceObservation};
+    use pd_sheriff::PriceObservation;
     use pd_util::{Money, RequestId, Seed, UserId, VantageId};
 
     fn fx() -> FxSeries {
@@ -477,7 +361,9 @@ mod tests {
         let fx = fx();
         for threads in [1, 4] {
             let exec = Executor::new(threads);
-            let (frame, stats) = cache.frame_for(42, &store, &fx, &exec);
+            let (frame, stats) = cache
+                .frame(42, StoreSource::Memory(&store), &fx, &exec)
+                .expect("memory sources cannot fail");
             let direct = CheckFrame::build(&store, &fx);
             assert_eq!(frame.rows(), direct.rows(), "{threads} threads");
             if threads == 1 {
@@ -500,11 +386,6 @@ mod tests {
                 );
             }
         }
-        assert_eq!(
-            cache.shard_count(),
-            0,
-            "shards are released once the assembled frame is memoized"
-        );
     }
 
     #[test]
@@ -535,24 +416,23 @@ mod tests {
             .save("crawl", fp, &[], &art)
             .expect("saves binary");
         let payload = artifacts.open_chunked("crawl", fp).expect("opens chunked");
+        let chunked = StoreSource::Chunked(&payload, "store");
 
         let fx = fx();
         for threads in [1, 4] {
             let exec = Executor::new(threads);
             let memory = FrameCache::new();
-            let (direct, _) = memory.frame_for(11, &store, &fx, &exec);
+            let (direct, _) = memory
+                .frame(11, StoreSource::Memory(&store), &fx, &exec)
+                .expect("memory build");
             let cache = FrameCache::new();
-            let (chunked, stats) = cache
-                .frame_for_chunked(11, &payload, "store", &fx, &exec)
-                .expect("chunked build");
-            assert_eq!(chunked.rows(), direct.rows(), "{threads} threads");
+            let (streamed, stats) = cache.frame(11, chunked, &fx, &exec).expect("chunked build");
+            assert_eq!(streamed.rows(), direct.rows(), "{threads} threads");
             assert_eq!(stats.built, 3);
             assert_eq!(stats.chunks_loaded, 3, "one chunk decoded per domain");
             // Second call is an assembled-frame hit: no disk reads.
-            let (again, hit) = cache
-                .frame_for_chunked(11, &payload, "store", &fx, &exec)
-                .expect("cache hit");
-            assert!(Arc::ptr_eq(&chunked, &again));
+            let (again, hit) = cache.frame(11, chunked, &fx, &exec).expect("cache hit");
+            assert!(Arc::ptr_eq(&streamed, &again));
             assert_eq!((hit.chunks_loaded, hit.reused), (0, 3));
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -585,8 +465,12 @@ mod tests {
         other.push(meas("a.example", "p1", &[99_000, 99_000]));
         let fx = fx();
         let exec = Executor::serial();
-        let (full, _) = cache.frame_for(1, &store, &fx, &exec);
-        let (small, stats) = cache.frame_for(2, &other, &fx, &exec);
+        let (full, _) = cache
+            .frame(1, StoreSource::Memory(&store), &fx, &exec)
+            .expect("memory build");
+        let (small, stats) = cache
+            .frame(2, StoreSource::Memory(&other), &fx, &exec)
+            .expect("memory build");
         assert_eq!(stats.built, 1, "same domain under a new key rebuilds");
         assert_eq!(full.len(), 4);
         assert_eq!(small.len(), 1);

@@ -15,7 +15,7 @@
 //!    week, ≤100 products each, from every vantage point
 //!    ([`stage::crawl_stage`] → [`stage::CrawlArtifact`]).
 //! 4. **Analysis** — every figure and table of the paper's evaluation is
-//!    recomputed ([`stage::analysis_stage`] → [`report::Report`]).
+//!    recomputed ([`Engine::analyze`] → [`report::Report`]).
 //!
 //! The engine is **scenario-driven and data-driven**: workloads are
 //! declarative [`ScenarioSpec`] values (base profile + typed
@@ -56,9 +56,18 @@
 //! println!("{}", report.render_fig1());
 //! ```
 //!
-//! The monolithic one-call API still works and produces the identical
-//! report (guarded by `pipeline::tests::legacy_run_equals_builder_paper_scenario`):
-//! `Experiment::run(ExperimentConfig::smoke(1307))`.
+//! A bare configuration runs through the same engine and produces the
+//! identical report (guarded by
+//! `pipeline::tests::legacy_run_equals_builder_paper_scenario`):
+//!
+//! ```
+//! use pd_core::{Engine, Executor, ExperimentConfig, NullObserver, RunPlan};
+//! use std::sync::Arc;
+//!
+//! let plan = RunPlan::new(ExperimentConfig::smoke(1307));
+//! let mut engine = Engine::from_plan(plan, Executor::serial(), Arc::new(NullObserver));
+//! assert!(engine.run().summary.crowd_requests > 0);
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -78,7 +87,7 @@ pub mod world;
 
 pub use config::{AnalysisConfig, ExperimentConfig, WorldConfig};
 pub use executor::Executor;
-pub use frames::{FrameCache, FrameStats, StoreCache};
+pub use frames::{FrameCache, FrameStats, StoreCache, StoreSource};
 pub use observer::{
     BufferedObserver, NullObserver, RunObserver, StageKind, StageTiming, TimingObserver,
 };

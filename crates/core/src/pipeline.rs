@@ -1,30 +1,31 @@
 //! The experiment engine: scenario-driven, staged, deterministic.
 //!
-//! Three layers:
+//! Two layers:
 //!
-//! * [`ExperimentBuilder`] — the entry point: pick a named scenario (or
-//!   a raw config), a seed, a profile, a thread count and an observer,
-//!   and get an [`Engine`].
+//! * [`ExperimentBuilder`] (also reached as [`Experiment::builder`]) —
+//!   the entry point: pick a named scenario (or a raw config), a seed, a
+//!   profile, a thread count and an observer, and get an [`Engine`].
 //! * [`Engine`] — runs the typed stages ([`crate::stage`]) with artifact
 //!   caching: `crowd()` runs the campaign once and every later call
 //!   (including `analyze()`) reuses the artifact. All parallel sections
 //!   go through the deterministic [`Executor`], so the report is
-//!   byte-identical at any thread count.
-//! * [`Experiment`] — the original monolithic API, kept as a thin
-//!   compatibility shim over the stage functions.
+//!   byte-identical at any thread count. A bare config runs through
+//!   `Engine::from_plan(RunPlan::new(config), Executor::serial(), ..)`.
 
 use crate::config::ExperimentConfig;
 use crate::executor::Executor;
-use crate::frames::{FrameCache, StoreCache};
+use crate::frames::{FrameCache, StoreCache, StoreSource};
 use crate::observer::{BufferedObserver, NullObserver, RunObserver, StageKind};
 use crate::report::Report;
 use crate::scenario::{Profile, RunPlan, ScenarioParams, ScenarioRegistry};
 use crate::spec::ScenarioSpec;
 use crate::stage::{self, AnalysisArtifact, CrawlArtifact, CrowdArtifact, PersonaArtifact};
-use crate::store::{self, ArtifactStore, ChunkedPayload, Provenance, StoreError, StoreFormat};
+use crate::store::{
+    self, ArtifactStore, ChunkedPayload, EntryHealth, Fingerprint, Provenance, StoreError,
+    StoreFormat,
+};
 use crate::world::World;
 use pd_sheriff::cleaning::CleaningReport;
-use pd_sheriff::MeasurementStore;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -43,7 +44,8 @@ pub struct Engine {
     spec: Option<ScenarioSpec>,
     /// Stages whose artifact came off disk rather than being computed
     /// (such stages are skipped by [`Engine::save_artifacts`] — their
-    /// bytes are already in the store).
+    /// bytes are already in the store). A stage recomputed after a
+    /// failed chunk read leaves this list again.
     loaded_stages: Vec<StageKind>,
     /// Per-domain frame cache the analysis stage reuses across repeated
     /// `analyze()` calls; shared across sweep arms built by one builder.
@@ -57,12 +59,10 @@ pub struct Engine {
     crowd: Option<Arc<CrowdArtifact>>,
     crawl: Option<Arc<CrawlArtifact>>,
     personas: Option<Arc<PersonaArtifact>>,
-    /// Chunked handle onto an on-disk binary crowd payload: analysis
-    /// streams its rows per domain instead of materializing `crowd`.
-    crowd_chunked: Option<ChunkedPayload>,
-    /// The cleaning report from the chunked crowd payload's meta chunk
-    /// (present exactly when `crowd_chunked` is).
-    crowd_cleaning: Option<CleaningReport>,
+    /// Chunked handle onto an on-disk binary crowd payload, with the
+    /// cleaning report from its meta chunk: analysis streams its rows
+    /// per domain instead of materializing `crowd`.
+    crowd_chunked: Option<(ChunkedPayload, CleaningReport)>,
     /// Chunked handle onto an on-disk binary crawl payload.
     crawl_chunked: Option<ChunkedPayload>,
 }
@@ -159,7 +159,6 @@ impl Engine {
             crawl: None,
             personas: None,
             crowd_chunked: None,
-            crowd_cleaning: None,
             crawl_chunked: None,
         }
     }
@@ -295,63 +294,82 @@ impl Engine {
         &mut self,
         kind: StageKind,
     ) -> Option<Arc<T>> {
-        let dir = self.artifacts_dir.as_deref()?;
-        let fp = store::measurement_fingerprint(kind, &self.plan)?;
+        // Read-through (shared cache included) needs an attached store.
+        self.artifacts_dir.as_ref()?;
+        let fp = measurement_fp(kind, &self.plan);
         // A shared-cache hit is as trustworthy as the disk load that
         // populated it: the fingerprint key certifies the bytes.
-        if let Some(stores) = &self.stores {
-            if let Some(hit) = stores.get::<T>(kind, fp.as_u64()) {
-                self.observer.stage_loaded(kind, &fp.to_string());
-                self.loaded_stages.push(kind);
-                return Some(hit);
-            }
+        if let Some(hit) = self
+            .stores
+            .as_ref()
+            .and_then(|s| s.get::<T>(kind, fp.as_u64()))
+        {
+            self.mark_loaded(kind, fp);
+            return Some(hit);
         }
-        if !ArtifactStore::is_store(dir) {
-            return None;
-        }
-        let store = ArtifactStore::open(dir).ok()?;
-        let artifact = Arc::new(store.load::<T>(kind.as_str(), fp).ok()?);
-        let artifact = self.cache_loaded(kind, fp.as_u64(), artifact);
-        self.observer.stage_loaded(kind, &fp.to_string());
-        self.loaded_stages.push(kind);
-        Some(artifact)
+        let store = self.attached_store()?;
+        self.load_whole(&store, kind).ok()
     }
 
-    /// Parks a just-loaded artifact in the shared [`StoreCache`] (when
-    /// one is attached) and returns the canonical `Arc` — under a racing
-    /// double-load the first insert wins, so every engine ends up
-    /// holding the same allocation.
-    fn cache_loaded<T: Send + Sync + 'static>(
-        &self,
-        kind: StageKind,
-        fingerprint: u64,
-        artifact: Arc<T>,
-    ) -> Arc<T> {
-        match &self.stores {
-            Some(stores) => stores.insert(kind, fingerprint, artifact),
-            None => artifact,
-        }
-    }
-
-    /// Probes the attached store for a **binary** entry of `kind` and
-    /// opens it as a chunked handle (fingerprint- and checksum-checked,
-    /// rows left on disk). `None` when there is no store, the entry is
-    /// missing/JSON/stale/corrupt — the caller falls back to
-    /// [`Engine::probe_store`] or computing.
-    fn probe_chunked(&mut self, kind: StageKind) -> Option<ChunkedPayload> {
+    /// The attached read-through store, when it exists and opens.
+    fn attached_store(&self) -> Option<ArtifactStore> {
         let dir = self.artifacts_dir.as_deref()?;
         if !ArtifactStore::is_store(dir) {
             return None;
         }
-        let store = ArtifactStore::open(dir).ok()?;
-        if store.entry(kind.as_str())?.store_format() != StoreFormat::Binary {
-            return None;
-        }
-        let fp = store::measurement_fingerprint(kind, &self.plan)?;
-        let payload = store.open_chunked(kind.as_str(), fp).ok()?;
+        ArtifactStore::open(dir).ok()
+    }
+
+    /// Reports a stage as satisfied from a store.
+    fn mark_loaded(&mut self, kind: StageKind, fp: Fingerprint) {
         self.observer.stage_loaded(kind, &fp.to_string());
         self.loaded_stages.push(kind);
-        Some(payload)
+    }
+
+    /// Deserializes `kind`'s whole artifact from `store` and parks it in
+    /// the shared [`StoreCache`] (when one is attached). Under a racing
+    /// double-load the first insert wins, so every engine ends up holding
+    /// the same allocation.
+    fn load_whole<T: serde::Deserialize + Send + Sync + 'static>(
+        &mut self,
+        store: &ArtifactStore,
+        kind: StageKind,
+    ) -> Result<Arc<T>, StoreError> {
+        let fp = measurement_fp(kind, &self.plan);
+        let mut artifact = Arc::new(store.load::<T>(kind.as_str(), fp)?);
+        if let Some(stores) = &self.stores {
+            artifact = stores.insert(kind, fp.as_u64(), artifact);
+        }
+        self.mark_loaded(kind, fp);
+        Ok(artifact)
+    }
+
+    /// Opens `kind`'s (crowd or crawl) **binary** entry in `store` as a
+    /// chunked handle — fingerprint- and checksum-checked, rows left on
+    /// disk — so analysis streams it one domain chunk at a time. The
+    /// crowd handle also takes the cleaning report from its meta chunk.
+    fn open_chunked(&mut self, store: &ArtifactStore, kind: StageKind) -> Result<(), StoreError> {
+        let fp = measurement_fp(kind, &self.plan);
+        let payload = store.open_chunked(kind.as_str(), fp)?;
+        if kind == StageKind::Crowd {
+            // The meta chunk is the artifact with its row arrays emptied.
+            let cleaning = payload.meta::<CrowdArtifact>()?.cleaning;
+            self.crowd_chunked = Some((payload, cleaning));
+        } else {
+            self.crawl_chunked = Some(payload);
+        }
+        self.mark_loaded(kind, fp);
+        Ok(())
+    }
+
+    /// Whether the engine already holds `kind`'s rows, in memory or as a
+    /// chunked handle.
+    fn holds(&self, kind: StageKind) -> bool {
+        match kind {
+            StageKind::Crowd => self.crowd.is_some() || self.crowd_chunked.is_some(),
+            StageKind::Crawl => self.crawl.is_some() || self.crawl_chunked.is_some(),
+            _ => self.personas.is_some(),
+        }
     }
 
     /// The crowd campaign artifact: from the in-memory cache, else from
@@ -434,100 +452,42 @@ impl Engine {
     pub fn load_artifacts(&mut self, dir: &Path) -> Result<LoadSummary, StoreError> {
         let store = ArtifactStore::open(dir)?;
         let mut summary = LoadSummary::default();
-        let outcome =
-            |kind: StageKind, summary: &mut LoadSummary, loaded: bool, err: Option<&StoreError>| {
-                if loaded {
-                    summary.loaded.push(kind);
-                } else {
-                    match err {
-                        Some(StoreError::MissingStage { .. }) => summary.missing.push(kind),
-                        Some(StoreError::StaleFingerprint { .. }) => summary.stale.push(kind),
-                        _ => summary.corrupt.push(kind),
-                    }
-                }
-            };
-        // Binary crowd/crawl entries open as chunked handles: the rows
-        // stay on disk and `analyze()` streams them one domain chunk at
-        // a time instead of materializing the whole payload.
-        let mut streamed: Vec<StageKind> = Vec::new();
-        for kind in [StageKind::Crowd, StageKind::Crawl] {
-            let chunked_cached = match kind {
-                StageKind::Crowd => self.crowd_chunked.is_some(),
-                _ => self.crawl_chunked.is_some(),
-            };
-            if chunked_cached {
-                // A previous load already opened this stage's handle.
-                streamed.push(kind);
-                outcome(kind, &mut summary, true, None);
-                continue;
-            }
-            let in_memory = match kind {
-                StageKind::Crowd => self.crowd.is_some(),
-                _ => self.crawl.is_some(),
-            };
-            if in_memory
-                || !store
-                    .entry(kind.as_str())
-                    .is_some_and(|e| e.store_format() == StoreFormat::Binary)
-            {
-                continue;
-            }
-            streamed.push(kind);
-            let fp = store::measurement_fingerprint(kind, &self.plan)
-                .expect("measurement stage has a fingerprint");
-            match store.open_chunked(kind.as_str(), fp) {
-                Ok(payload) => {
-                    if kind == StageKind::Crowd {
-                        match chunked_cleaning(&payload) {
-                            Some(cleaning) => self.crowd_cleaning = Some(cleaning),
-                            None => {
-                                outcome(kind, &mut summary, false, None);
-                                continue;
-                            }
-                        }
-                        self.crowd_chunked = Some(payload);
-                    } else {
-                        self.crawl_chunked = Some(payload);
-                    }
-                    self.observer.stage_loaded(kind, &fp.to_string());
-                    self.loaded_stages.push(kind);
-                    outcome(kind, &mut summary, true, None);
-                }
-                Err(e) => outcome(kind, &mut summary, false, Some(&e)),
+        for kind in [StageKind::Crowd, StageKind::Crawl, StageKind::Personas] {
+            match self.load_stage(&store, kind) {
+                Ok(()) => summary.loaded.push(kind),
+                Err(StoreError::MissingStage { .. }) => summary.missing.push(kind),
+                Err(StoreError::StaleFingerprint { .. }) => summary.stale.push(kind),
+                Err(_) => summary.corrupt.push(kind),
             }
         }
-        macro_rules! load_stage {
-            ($kind:expr, $slot:ident, $ty:ty) => {
-                if streamed.contains(&$kind) {
-                    // Resolved above as a chunked handle (or reported).
-                } else if self.$slot.is_none() {
-                    let fp = store::measurement_fingerprint($kind, &self.plan)
-                        .expect("measurement stage has a fingerprint");
-                    match store.load::<$ty>($kind.as_str(), fp) {
-                        Ok(artifact) => {
-                            self.observer.stage_loaded($kind, &fp.to_string());
-                            self.loaded_stages.push($kind);
-                            self.$slot =
-                                Some(self.cache_loaded($kind, fp.as_u64(), Arc::new(artifact)));
-                            outcome($kind, &mut summary, true, None);
-                        }
-                        Err(e) => outcome($kind, &mut summary, false, Some(&e)),
-                    }
-                } else {
-                    // Already in memory: counts as loaded for completeness.
-                    outcome($kind, &mut summary, true, None);
-                }
-            };
-        }
-        load_stage!(StageKind::Crowd, crowd, CrowdArtifact);
-        load_stage!(StageKind::Crawl, crawl, CrawlArtifact);
-        load_stage!(StageKind::Personas, personas, PersonaArtifact);
         Ok(summary)
     }
 
+    /// Loads one measurement stage from `store` unless the engine already
+    /// holds it (which counts as loaded). Binary crowd/crawl entries open
+    /// as chunked handles: the rows stay on disk and `analyze()` streams
+    /// them one domain chunk at a time instead of materializing the
+    /// whole payload.
+    fn load_stage(&mut self, store: &ArtifactStore, kind: StageKind) -> Result<(), StoreError> {
+        if self.holds(kind) {
+            return Ok(());
+        }
+        match kind {
+            StageKind::Crowd | StageKind::Crawl if is_binary(store, kind) => {
+                self.open_chunked(store, kind)?;
+            }
+            StageKind::Crowd => self.crowd = Some(self.load_whole(store, kind)?),
+            StageKind::Crawl => self.crawl = Some(self.load_whole(store, kind)?),
+            _ => self.personas = Some(self.load_whole(store, kind)?),
+        }
+        Ok(())
+    }
+
     /// Persists every cached measurement artifact to `dir`, creating the
-    /// store (with this engine's provenance and plan) if needed. Stages
-    /// already in the store under the current fingerprint are skipped.
+    /// store (with this engine's provenance and plan) if needed. An entry
+    /// already stored under the current fingerprint is skipped when this
+    /// engine loaded that stage or the entry still verifies; a corrupt
+    /// one is overwritten.
     ///
     /// # Errors
     ///
@@ -541,13 +501,14 @@ impl Engine {
         macro_rules! save_stage {
             ($kind:expr, $slot:ident) => {
                 if let Some(artifact) = &self.$slot {
-                    let fp = store::measurement_fingerprint($kind, &self.plan)
-                        .expect("measurement stage has a fingerprint");
+                    let fp = measurement_fp($kind, &self.plan);
                     let name = $kind.as_str();
-                    if store
-                        .entry(name)
-                        .is_some_and(|e| e.fingerprint == fp.to_string())
-                    {
+                    let fresh = store.entry(name).is_some_and(|e| {
+                        e.fingerprint == fp.to_string()
+                            && (self.loaded_stages.contains(&$kind)
+                                || store.health(e) == EntryHealth::Ok)
+                    });
+                    if fresh {
                         summary.fresh.push(name);
                     } else {
                         store.save(name, fp, &[], artifact.as_ref())?;
@@ -624,107 +585,92 @@ impl Engine {
     /// returns the analysis artifact. Upstream stages run at most once;
     /// calling this twice re-analyzes but does not re-measure.
     ///
-    /// When the attached store holds a stage in the **binary chunked**
-    /// format, its rows are streamed one domain chunk at a time (the
+    /// Crowd and crawl rows each come from the in-memory artifact, else a
+    /// chunked handle (a **binary** entry in the attached store, or one
+    /// opened by [`Engine::load_artifacts`]), else computing the stage.
+    /// Chunked rows are streamed one domain chunk at a time (the
     /// `frames_chunks_loaded` counter reports how many) instead of
     /// deserializing the whole payload; a chunk that fails mid-read
-    /// drops the handle and falls back to computing in memory.
+    /// drops the handles and falls back to computing in memory.
     pub fn analyze(&mut self) -> AnalysisArtifact {
         self.personas();
-        // Prefer streaming handles for the heavy measurement payloads.
-        if self.crowd.is_none() && self.crowd_chunked.is_none() {
-            if let Some(payload) = self.probe_chunked(StageKind::Crowd) {
-                if let Some(cleaning) = chunked_cleaning(&payload) {
-                    self.crowd_cleaning = Some(cleaning);
-                    self.crowd_chunked = Some(payload);
+        if let Some(store) = self.attached_store() {
+            for kind in [StageKind::Crowd, StageKind::Crawl] {
+                if is_binary(&store, kind) && !self.holds(kind) {
+                    // A failed open is a cache miss: the stage computes.
+                    let _ = self.open_chunked(&store, kind);
                 }
             }
         }
-        if self.crawl.is_none() && self.crawl_chunked.is_none() {
-            self.crawl_chunked = self.probe_chunked(StageKind::Crawl);
-        }
-        if let Some(analysis) = self.try_analyze_chunked() {
-            return analysis;
-        }
-        self.crowd();
-        self.crawl();
-        stage::analysis_stage(
-            &self.world,
-            &self.plan,
-            self.crowd.as_deref().expect("cached above"),
-            self.crawl.as_deref().expect("cached above"),
-            self.personas.as_deref().expect("cached above"),
-            &self.frames,
-            &self.executor,
-            self.observer.as_ref(),
-        )
-    }
-
-    /// The chunked analysis attempt: runs [`stage::analysis_over`] with
-    /// whatever mix of in-memory artifacts and chunked handles the
-    /// engine holds. `None` when no handle is open (nothing to stream)
-    /// or a chunk failed mid-read — the handles are dropped so the
-    /// caller recomputes in memory.
-    fn try_analyze_chunked(&mut self) -> Option<AnalysisArtifact> {
-        if self.crowd_chunked.is_none() && self.crawl_chunked.is_none() {
-            return None;
-        }
-        // Materialize whichever heavy stage has no handle (mixed-format
-        // stores: e.g. a v2 JSON crawl next to a v3 binary crowd).
-        if self.crowd.is_none() && self.crowd_chunked.is_none() {
+        if !self.holds(StageKind::Crowd) {
             self.crowd();
         }
-        if self.crawl.is_none() && self.crawl_chunked.is_none() {
+        if !self.holds(StageKind::Crawl) {
             self.crawl();
         }
+        match self.analysis_over_held() {
+            Ok(analysis) => analysis,
+            Err(_) => {
+                // A chunk rotted between open and read: recompute from
+                // scratch rather than serve a partial analysis. The
+                // dropped stages no longer count as loaded.
+                for (kind, dropped) in [
+                    (StageKind::Crowd, self.crowd_chunked.take().is_some()),
+                    (StageKind::Crawl, self.crawl_chunked.take().is_some()),
+                ] {
+                    if dropped {
+                        self.loaded_stages.retain(|k| *k != kind);
+                    }
+                }
+                self.crowd();
+                self.crawl();
+                self.analysis_over_held()
+                    .expect("in-memory analysis sources cannot fail")
+            }
+        }
+    }
+
+    /// [`stage::analysis_over`] on whatever mix of in-memory artifacts
+    /// and chunked handles the engine holds (in-memory wins), keyed in
+    /// the frame cache by the plan's measurement fingerprints.
+    fn analysis_over_held(&self) -> Result<AnalysisArtifact, StoreError> {
+        let (crowd_raw, crowd_clean, cleaning) = match (&self.crowd, &self.crowd_chunked) {
+            (Some(art), _) => (
+                StoreSource::Memory(&art.raw),
+                StoreSource::Memory(&art.cleaned),
+                art.cleaning,
+            ),
+            (None, Some((payload, cleaning))) => (
+                StoreSource::Chunked(payload, "raw"),
+                StoreSource::Chunked(payload, "cleaned"),
+                *cleaning,
+            ),
+            (None, None) => unreachable!("analyze resolves the crowd first"),
+        };
+        let crawl_store = match (&self.crawl, &self.crawl_chunked) {
+            (Some(art), _) => StoreSource::Memory(&art.store),
+            (None, Some(payload)) => StoreSource::Chunked(payload, "store"),
+            (None, None) => unreachable!("analyze resolves the crawl first"),
+        };
         let keys = stage::FrameKeys {
             cache: self.frames.as_ref(),
             crowd: store::crowd_fingerprint(&self.plan).as_u64(),
             crawl: store::crawl_fingerprint(&self.plan).as_u64(),
         };
-        let (crowd_raw, crowd_clean, cleaning) = match (&self.crowd, &self.crowd_chunked) {
-            (Some(art), _) => (
-                stage::StoreSource::Memory(&art.raw),
-                stage::StoreSource::Memory(&art.cleaned),
-                art.cleaning,
-            ),
-            (None, Some(payload)) => (
-                stage::StoreSource::Chunked(payload, "raw"),
-                stage::StoreSource::Chunked(payload, "cleaned"),
-                *self
-                    .crowd_cleaning
-                    .as_ref()
-                    .expect("cleaning stashed with the crowd handle"),
-            ),
-            (None, None) => unreachable!("crowd materialized above"),
-        };
-        let crawl_store = match (&self.crawl, &self.crawl_chunked) {
-            (Some(art), _) => stage::StoreSource::Memory(&art.store),
-            (None, Some(payload)) => stage::StoreSource::Chunked(payload, "store"),
-            (None, None) => unreachable!("crawl materialized above"),
-        };
-        match stage::analysis_over(
+        stage::analysis_over(
             &self.world,
             &self.plan.config,
             crowd_raw,
             crowd_clean,
             cleaning,
             crawl_store,
-            self.personas.as_deref().expect("personas cached"),
-            Some(keys),
+            self.personas
+                .as_deref()
+                .expect("analyze resolves personas first"),
+            keys,
             &self.executor,
             self.observer.as_ref(),
-        ) {
-            Ok(analysis) => Some(analysis),
-            Err(_) => {
-                // A chunk rotted between open and read: recompute from
-                // scratch rather than serve a partial analysis.
-                self.crowd_chunked = None;
-                self.crowd_cleaning = None;
-                self.crawl_chunked = None;
-                None
-            }
-        }
+        )
     }
 
     /// Runs the full pipeline and returns the report.
@@ -733,13 +679,16 @@ impl Engine {
     }
 }
 
-/// The cleaning report parked in a chunked crowd payload's meta chunk
-/// (the meta chunk is the artifact with its row arrays emptied, so it
-/// deserializes as a hollow [`CrowdArtifact`]).
-fn chunked_cleaning(payload: &ChunkedPayload) -> Option<CleaningReport> {
-    let meta = payload.meta_value().ok()?;
-    let hollow: CrowdArtifact = serde::Deserialize::deserialize(&meta).ok()?;
-    Some(hollow.cleaning)
+/// Whether `store` holds `kind` in the binary chunked format.
+fn is_binary(store: &ArtifactStore, kind: StageKind) -> bool {
+    store
+        .entry(kind.as_str())
+        .is_some_and(|e| e.store_format() == StoreFormat::Binary)
+}
+
+/// The fingerprint of a measurement stage (crowd, crawl or personas).
+fn measurement_fp(kind: StageKind, plan: &RunPlan) -> Fingerprint {
+    store::measurement_fingerprint(kind, plan).expect("measurement stage has a fingerprint")
 }
 
 /// Why a builder could not produce an engine.
@@ -1163,7 +1112,7 @@ impl ExperimentBuilder {
             let mut engine = self.arm_engine(&spec, label, plan.clone(), intra, observer, &frames);
             let analysis = engine.analyze();
             // Between arms: drop interned strings only this arm's
-            // transient frame shards were holding, so a long multi-arm
+            // transient frame builds were holding, so a long multi-arm
             // sweep does not accumulate every arm's domain set for the
             // process lifetime.
             pd_util::intern::purge_unreferenced();
@@ -1203,142 +1152,15 @@ pub struct SweepArmRun {
     pub analysis: AnalysisArtifact,
 }
 
-/// The original experiment driver, kept as a compatibility shim over the
-/// staged engine. New code should prefer [`Experiment::builder`].
-#[derive(Debug)]
-pub struct Experiment {
-    engine: Engine,
-}
+/// The namespace of the redesigned entry point: [`Experiment::builder`].
+#[derive(Debug, Clone, Copy)]
+pub struct Experiment;
 
 impl Experiment {
-    /// Builds the world for `config` (sequential engine, no observer).
-    #[must_use]
-    pub fn new(config: ExperimentConfig) -> Self {
-        Experiment {
-            engine: Engine::from_plan(
-                RunPlan::new(config),
-                Executor::serial(),
-                Arc::new(NullObserver),
-            ),
-        }
-    }
-
-    /// The scenario/engine builder (the redesigned entry point).
+    /// The scenario/engine builder.
     #[must_use]
     pub fn builder() -> ExperimentBuilder {
         ExperimentBuilder::new()
-    }
-
-    /// The world (read access for examples and diagnostics).
-    #[must_use]
-    pub fn world(&self) -> &World {
-        self.engine.world()
-    }
-
-    /// The configuration.
-    #[must_use]
-    pub fn config(&self) -> &ExperimentConfig {
-        self.engine.config()
-    }
-
-    /// Runs the full pipeline and produces the report.
-    #[must_use]
-    pub fn run(config: ExperimentConfig) -> Report {
-        let mut exp = Experiment::new(config);
-        exp.engine.run()
-    }
-
-    /// Stage 2: the crowd campaign plus cleaning. Returns (raw, cleaned,
-    /// report). Recomputes on every call; use
-    /// [`Engine::crowd`] for the cached artifact.
-    #[must_use]
-    pub fn run_crowd_phase(&mut self) -> (MeasurementStore, MeasurementStore, CleaningReport) {
-        let artifact = stage::crowd_stage(
-            self.engine.world(),
-            self.engine.plan(),
-            self.engine.executor(),
-            &NullObserver,
-        );
-        (artifact.raw, artifact.cleaned, artifact.cleaning)
-    }
-
-    /// The paper's stated future work, implemented: attribute a
-    /// retailer's price variation to specific request factors (country,
-    /// city, session, day, login) by controlled probing. Returns `None`
-    /// for unknown domains.
-    #[must_use]
-    pub fn attribute_factors(
-        &self,
-        domain: &str,
-        products: usize,
-    ) -> Option<pd_analysis::Attribution> {
-        stage::attribute_factors(self.engine.world(), self.engine.config(), domain, products)
-    }
-
-    /// The automated version of the paper's manual tax/shipping check
-    /// (see [`stage::is_tax_explained`]).
-    #[must_use]
-    pub fn is_tax_explained(&self, domain: &str) -> bool {
-        stage::is_tax_explained(self.engine.world(), self.engine.config(), domain)
-    }
-
-    /// Stage 3: the systematic crawl of the paper's 21 retailers.
-    /// Recomputes on every call; use [`Engine::crawl`] for the cached
-    /// artifact.
-    #[must_use]
-    pub fn run_crawl_phase(
-        &self,
-    ) -> (MeasurementStore, Vec<pd_crawler::crawl::RetailerCrawlStats>) {
-        let artifact = stage::crawl_stage(
-            self.engine.world(),
-            self.engine.config(),
-            &self.engine.world().paper_crawl_targets(),
-            self.engine.executor(),
-            &NullObserver,
-        );
-        (artifact.store, artifact.stats)
-    }
-
-    /// Data-driven variant of target selection (used by the
-    /// `crawl_retailers` example and the crowd-value ablation): rank
-    /// domains by confirmed crowd variation instead of taking the
-    /// paper's list.
-    #[must_use]
-    pub fn targets_from_crowd(
-        &self,
-        cleaned: &MeasurementStore,
-        min_confirmed: usize,
-    ) -> Vec<String> {
-        stage::targets_from_crowd(self.engine.world(), cleaned, min_confirmed)
-    }
-
-    /// Stage 4: every figure and table.
-    #[must_use]
-    pub fn analyze(
-        &self,
-        crowd_raw: &MeasurementStore,
-        crowd_clean: &MeasurementStore,
-        cleaning: CleaningReport,
-        crawl_store: &MeasurementStore,
-    ) -> Report {
-        let world = self.engine.world();
-        let config = self.engine.config();
-        let exec = self.engine.executor();
-        let personas = stage::persona_stage(world, config, exec, &NullObserver);
-        stage::analysis_over(
-            world,
-            config,
-            stage::StoreSource::Memory(crowd_raw),
-            stage::StoreSource::Memory(crowd_clean),
-            cleaning,
-            stage::StoreSource::Memory(crawl_store),
-            &personas,
-            None,
-            exec,
-            &NullObserver,
-        )
-        .expect("in-memory analysis sources cannot fail")
-        .report
     }
 }
 
@@ -1346,9 +1168,18 @@ impl Experiment {
 mod tests {
     use super::*;
 
+    /// An engine over a bare config: serial, unobserved, no store.
+    fn config_engine(config: ExperimentConfig) -> Engine {
+        Engine::from_plan(
+            RunPlan::new(config),
+            Executor::serial(),
+            Arc::new(NullObserver),
+        )
+    }
+
     #[test]
     fn full_small_pipeline_runs() {
-        let report = Experiment::run(ExperimentConfig::small(1307));
+        let report = config_engine(ExperimentConfig::small(1307)).run();
         assert!(report.summary.crowd_requests > 100);
         assert!(report.summary.crawled_retailers == 21);
         assert!(!report.fig1.is_empty());
@@ -1360,8 +1191,12 @@ mod tests {
 
     #[test]
     fn crowd_phase_cleaning_drops_noise() {
-        let mut exp = Experiment::new(ExperimentConfig::small(2));
-        let (raw, cleaned, report) = exp.run_crowd_phase();
+        let mut engine = config_engine(ExperimentConfig::small(2));
+        let CrowdArtifact {
+            raw,
+            cleaned,
+            cleaning: report,
+        } = engine.crowd();
         assert!(cleaned.len() <= raw.len());
         assert_eq!(report.kept, cleaned.len());
         // Default noise rates (7 %) over 150 checks: some drops expected.
@@ -1370,26 +1205,28 @@ mod tests {
 
     #[test]
     fn tax_check_catches_the_inliner_confound() {
-        let exp = Experiment::new(ExperimentConfig::small(3));
+        let engine = config_engine(ExperimentConfig::small(3));
+        let is_tax_explained =
+            |domain: &str| stage::is_tax_explained(engine.world(), engine.config(), domain);
         // Filler #0 inlines tax by construction (the injected confound).
-        assert!(exp.is_tax_explained("www.shop-000.example"));
+        assert!(is_tax_explained("www.shop-000.example"));
         // Real discriminators are not explained away by taxes.
-        assert!(!exp.is_tax_explained("www.digitalrev.com"));
-        assert!(!exp.is_tax_explained("www.energie.it"));
+        assert!(!is_tax_explained("www.digitalrev.com"));
+        assert!(!is_tax_explained("www.energie.it"));
         // Unknown domains are trivially not tax-explained.
-        assert!(!exp.is_tax_explained("gone.example"));
+        assert!(!is_tax_explained("gone.example"));
     }
 
     #[test]
     fn targets_from_crowd_rank_real_discriminators() {
-        let mut exp = Experiment::new(ExperimentConfig::small(3));
-        let (_, cleaned, _) = exp.run_crowd_phase();
-        let targets = exp.targets_from_crowd(&cleaned, 1);
+        let mut engine = config_engine(ExperimentConfig::small(3));
+        let cleaned = engine.crowd().cleaned.clone();
+        let targets = stage::targets_from_crowd(engine.world(), &cleaned, 1);
         assert!(!targets.is_empty());
         // Every selected target must actually be discriminating (no
         // false positives at threshold 1 thanks to the band filter).
         for t in &targets {
-            let spec = exp
+            let spec = engine
                 .world()
                 .web
                 .server_by_domain(t)
@@ -1405,7 +1242,7 @@ mod tests {
 
     #[test]
     fn legacy_run_equals_builder_paper_scenario() {
-        let legacy = Experiment::run(ExperimentConfig::smoke(1307));
+        let legacy = config_engine(ExperimentConfig::smoke(1307)).run();
         let mut engine = Experiment::builder()
             .scenario("paper")
             .profile(Profile::Smoke)

@@ -253,10 +253,12 @@ pub fn reports_to_json(reports: &[(String, Report)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Experiment, ExperimentConfig};
+    use crate::{Engine, Executor, ExperimentConfig, NullObserver, RunPlan};
+    use std::sync::Arc;
 
     fn report() -> Report {
-        Experiment::run(ExperimentConfig::small(1307))
+        let plan = RunPlan::new(ExperimentConfig::small(1307));
+        Engine::from_plan(plan, Executor::serial(), Arc::new(NullObserver)).run()
     }
 
     #[test]

@@ -11,9 +11,8 @@
 //! * [`AnalysisArtifact`] — every figure and table ([`Report`]).
 //!
 //! The stage functions are free functions over `(&World, plan/config,
-//! &Executor, &dyn RunObserver)`; the caching engine
-//! ([`crate::Engine`]) and the legacy [`crate::Experiment`] shim both
-//! call them, so a stage behaves identically whether it is cached,
+//! &Executor, &dyn RunObserver)`; the caching engine ([`crate::Engine`])
+//! calls them, so a stage behaves identically whether it is cached,
 //! re-run, loaded from an on-disk store ([`crate::store`]), sequential
 //! or fanned across worker threads.
 //!
@@ -29,11 +28,11 @@
 
 use crate::config::ExperimentConfig;
 use crate::executor::Executor;
-use crate::frames::{FrameCache, FrameStats};
+use crate::frames::{FrameCache, StoreSource};
 use crate::observer::{RunObserver, StageKind};
 use crate::report::{Fig8Grid, Report};
 use crate::scenario::RunPlan;
-use crate::store::{ChunkedPayload, StoreError};
+use crate::store::StoreError;
 use crate::world::World;
 use pd_analysis::{crawl, crowd as crowd_figs, location, login, strategy, summary, thirdparty};
 use pd_crawler::crawl::RetailerCrawlStats;
@@ -448,105 +447,8 @@ pub fn targets_from_crowd(
         .collect()
 }
 
-/// Where an analysis input store's rows come from: memory, or a chunked
-/// binary payload on disk that is decoded one domain chunk at a time
-/// (never materialized whole). Both variants yield row-identical frames
-/// and summaries; only the `frames_chunks_loaded` counter tells them
-/// apart.
-#[derive(Clone, Copy)]
-pub(crate) enum StoreSource<'a> {
-    /// Rows already in memory.
-    Memory(&'a MeasurementStore),
-    /// Rows on disk under the named row section of a chunked payload.
-    Chunked(&'a ChunkedPayload, &'static str),
-}
-
-impl StoreSource<'_> {
-    /// The analysis frame for this source — through the cache under
-    /// `key` when one is given, built uncached otherwise.
-    fn frame(
-        &self,
-        keyed: Option<(&FrameCache, u64)>,
-        fx: &pd_currency::FxSeries,
-        exec: &Executor,
-    ) -> Result<(std::sync::Arc<pd_analysis::CheckFrame>, FrameStats), StoreError> {
-        match (self, keyed) {
-            (Self::Memory(store), Some((cache, key))) => Ok(cache.frame_for(key, store, fx, exec)),
-            (Self::Memory(store), None) => Ok((
-                std::sync::Arc::new(pd_analysis::CheckFrame::build(store, fx)),
-                FrameStats::default(),
-            )),
-            (Self::Chunked(payload, section), Some((cache, key))) => {
-                cache.frame_for_chunked(key, payload, section, fx, exec)
-            }
-            (Self::Chunked(payload, section), None) => {
-                FrameCache::new().frame_for_chunked(0, payload, section, fx, exec)
-            }
-        }
-    }
-
-    /// Feeds every row of this source to `f`, one chunk at a time for
-    /// chunked sources.
-    fn scan(&self, mut f: impl FnMut(&pd_sheriff::Measurement)) -> Result<(), StoreError> {
-        match self {
-            Self::Memory(store) => {
-                for m in store.records() {
-                    f(m);
-                }
-                Ok(())
-            }
-            Self::Chunked(payload, section) => {
-                for name in payload.chunk_names(section) {
-                    for m in payload.read_chunk_rows::<pd_sheriff::Measurement>(section, name)? {
-                        f(&m);
-                    }
-                }
-                Ok(())
-            }
-        }
-    }
-}
-
-/// Stage 5: every figure and table, from the upstream artifacts. The
-/// per-retailer attribution probes fan across the executor, and the
-/// check frames come from the [`FrameCache`]: per-domain shards built in
-/// parallel on the first call, reused (`frames_built = 0`) by every
-/// later `analyze()` on the same measurement fingerprints — including
-/// `pd rerun` and sweep arms sharing an upstream crawl.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn analysis_stage(
-    world: &World,
-    plan: &RunPlan,
-    crowd: &CrowdArtifact,
-    crawl_art: &CrawlArtifact,
-    persona_art: &PersonaArtifact,
-    frames: &FrameCache,
-    exec: &Executor,
-    obs: &dyn RunObserver,
-) -> AnalysisArtifact {
-    let keys = FrameKeys {
-        cache: frames,
-        crowd: crate::store::crowd_fingerprint(plan).as_u64(),
-        crawl: crate::store::crawl_fingerprint(plan).as_u64(),
-    };
-    analysis_over(
-        world,
-        &plan.config,
-        StoreSource::Memory(&crowd.raw),
-        StoreSource::Memory(&crowd.cleaned),
-        crowd.cleaning,
-        StoreSource::Memory(&crawl_art.store),
-        persona_art,
-        Some(keys),
-        exec,
-        obs,
-    )
-    .expect("in-memory analysis sources cannot fail")
-}
-
-/// How [`analysis_over`] should obtain its frames: through a
-/// [`FrameCache`] under the plan's measurement fingerprints.
+/// How [`analysis_over`] obtains its frames: through a [`FrameCache`]
+/// under the plan's measurement fingerprints.
 pub(crate) struct FrameKeys<'a> {
     /// The shared cache.
     pub cache: &'a FrameCache,
@@ -556,11 +458,18 @@ pub(crate) struct FrameKeys<'a> {
     pub crawl: u64,
 }
 
-/// The analysis body over [`StoreSource`]s — shared by the artifact-based
-/// [`analysis_stage`], the engine's chunked read path (which streams
-/// domain chunks off disk), and the legacy `Experiment::analyze` shim
-/// (which receives bare store references with no plan lineage, so it
-/// passes no frame keys and builds uncached).
+/// Stage 5: every figure and table, from the upstream rows wherever they
+/// live ([`StoreSource`]: memory, or domain chunks streamed off disk).
+/// The check frames come from the [`FrameCache`] — per-domain shards
+/// built in parallel on the first call, reused (`frames_built = 0`) by
+/// every later analysis of the same measurement fingerprints, including
+/// `pd rerun` and sweep arms sharing an upstream crawl — and the
+/// per-retailer attribution probes fan across the executor.
+///
+/// # Errors
+///
+/// [`StoreError::Corrupt`] when a chunked source fails mid-read
+/// (memory sources never fail).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn analysis_over(
     world: &World,
@@ -570,34 +479,29 @@ pub(crate) fn analysis_over(
     cleaning: CleaningReport,
     crawl_store: StoreSource<'_>,
     persona_art: &PersonaArtifact,
-    frames: Option<FrameKeys<'_>>,
+    frames: FrameKeys<'_>,
     exec: &Executor,
     obs: &dyn RunObserver,
 ) -> Result<AnalysisArtifact, StoreError> {
     observed(obs, StageKind::Analysis, || {
         let fx = world.web.fx();
-        let keyed = frames.is_some();
-        let (crowd_frame, crowd_stats) =
-            crowd_clean.frame(frames.as_ref().map(|k| (k.cache, k.crowd)), fx, exec)?;
-        let (crawl_frame, crawl_stats) =
-            crawl_store.frame(frames.as_ref().map(|k| (k.cache, k.crawl)), fx, exec)?;
-        if keyed {
-            obs.counter(
-                StageKind::Analysis,
-                "frames_built",
-                (crowd_stats.built + crawl_stats.built) as u64,
-            );
-            obs.counter(
-                StageKind::Analysis,
-                "frames_reused",
-                (crowd_stats.reused + crawl_stats.reused) as u64,
-            );
-            obs.counter(
-                StageKind::Analysis,
-                "frames_chunks_loaded",
-                (crowd_stats.chunks_loaded + crawl_stats.chunks_loaded) as u64,
-            );
-        }
+        let (crowd_frame, crowd_stats) = frames.cache.frame(frames.crowd, crowd_clean, fx, exec)?;
+        let (crawl_frame, crawl_stats) = frames.cache.frame(frames.crawl, crawl_store, fx, exec)?;
+        obs.counter(
+            StageKind::Analysis,
+            "frames_built",
+            (crowd_stats.built + crawl_stats.built) as u64,
+        );
+        obs.counter(
+            StageKind::Analysis,
+            "frames_reused",
+            (crowd_stats.reused + crawl_stats.reused) as u64,
+        );
+        obs.counter(
+            StageKind::Analysis,
+            "frames_chunks_loaded",
+            (crowd_stats.chunks_loaded + crawl_stats.chunks_loaded) as u64,
+        );
         let crowd_frame = &*crowd_frame;
         let crawl_frame = &*crawl_frame;
         let labels = world.vantage_labels();

@@ -925,22 +925,25 @@ impl ArtifactStore {
         self.manifest
             .entries
             .iter()
-            .map(|entry| {
-                let outcome = match entry.store_format() {
-                    StoreFormat::Json => self.read_envelope(entry).map(|_| ()),
-                    StoreFormat::Binary => self.open_chunked_entry(entry).map(|_| ()),
-                };
-                let health = match outcome {
-                    Ok(()) => EntryHealth::Ok,
-                    Err(StoreError::Io { detail, .. }) if !self.dir.join(&entry.file).is_file() => {
-                        let _ = detail;
-                        EntryHealth::MissingFile
-                    }
-                    Err(e) => EntryHealth::Corrupt(e.to_string()),
-                };
-                (entry.clone(), health)
-            })
+            .map(|entry| (entry.clone(), self.health(entry)))
             .collect()
+    }
+
+    /// Checks one manifest entry against its file, as
+    /// [`verify`](Self::verify) does for every entry.
+    #[must_use]
+    pub(crate) fn health(&self, entry: &ManifestEntry) -> EntryHealth {
+        let outcome = match entry.store_format() {
+            StoreFormat::Json => self.read_envelope(entry).map(|_| ()),
+            StoreFormat::Binary => self.open_chunked_entry(entry).map(|_| ()),
+        };
+        match outcome {
+            Ok(()) => EntryHealth::Ok,
+            Err(StoreError::Io { .. }) if !self.dir.join(&entry.file).is_file() => {
+                EntryHealth::MissingFile
+            }
+            Err(e) => EntryHealth::Corrupt(e.to_string()),
+        }
     }
 
     /// Reads and validates an entry's envelope (schema, stage name and
@@ -1325,6 +1328,15 @@ impl ChunkedPayload {
         binfmt::decode_one(&bytes).map_err(|e| StoreError::Corrupt {
             path: self.path.display().to_string(),
             detail: format!("meta chunk does not decode: {e}"),
+        })
+    }
+
+    /// The meta chunk deserialized as `T` — the payload's artifact type,
+    /// hollowed of its rows.
+    pub(crate) fn meta<T: Deserialize>(&self) -> Result<T, StoreError> {
+        T::deserialize(&self.meta_value()?).map_err(|e| StoreError::Corrupt {
+            path: self.path.display().to_string(),
+            detail: format!("meta chunk does not deserialize: {e}"),
         })
     }
 

@@ -320,6 +320,98 @@ fn corrupted_binary_chunks_are_rejected_and_recomputed() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Flips the last 32 bytes of `path` — inside the last domain chunk of a
+/// binary artifact, well past its header.
+fn flip_tail(path: &std::path::Path) {
+    let mut bytes = std::fs::read(path).expect("binary artifact exists");
+    let at = bytes.len() - 32;
+    for b in &mut bytes[at..] {
+        *b ^= 0xff;
+    }
+    std::fs::write(path, bytes).expect("corrupt the file");
+}
+
+/// A save repairs a corrupt entry: the engine that recomputed a stage
+/// because its stored copy was corrupt overwrites that copy (a matching
+/// manifest fingerprint alone does not make it fresh), so the next
+/// engine loads the stage instead of recomputing it forever.
+#[test]
+fn save_repairs_a_corrupt_entry() {
+    let dir = tmp("repair");
+    let smoke = || {
+        Experiment::builder()
+            .scenario("smoke")
+            .seed(7)
+            .store_format(StoreFormat::Binary)
+    };
+    let mut producer = smoke().build().expect("smoke builds");
+    producer.crawl();
+    producer.save_artifacts(&dir).expect("save");
+    flip_tail(&dir.join("crawl.bin"));
+
+    let mut repairer = smoke()
+        .artifacts(dir.clone())
+        .build()
+        .expect("smoke builds");
+    repairer.crawl();
+    assert!(
+        repairer.loaded_stages().is_empty(),
+        "corrupt must recompute"
+    );
+    let summary = repairer.save_artifacts(&dir).expect("re-save");
+    assert_eq!(summary.saved, vec!["crawl"], "{summary:?}");
+    assert!(summary.fresh.is_empty(), "{summary:?}");
+
+    let observer = Arc::new(TimingObserver::new());
+    let mut consumer = smoke()
+        .observer(observer.clone())
+        .artifacts(dir.clone())
+        .build()
+        .expect("smoke builds");
+    consumer.crawl();
+    assert_eq!(observer.loads(StageKind::Crawl), 1, "repaired entry loads");
+    assert_eq!(observer.starts(StageKind::Crawl), 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A chunk that rots *after* its checksums passed at open fails the
+/// streamed read mid-analysis: the engine drops its chunked handles,
+/// recomputes in memory to the byte-identical report, and no longer
+/// counts the crawl as loaded from the store.
+#[test]
+fn chunk_rot_after_open_falls_back_to_memory() {
+    let dir = tmp("mid-read");
+    let mut producer = Experiment::builder()
+        .scenario("smoke")
+        .seed(7)
+        .store_format(StoreFormat::Binary)
+        .build()
+        .expect("smoke builds");
+    let direct = producer.run();
+    producer.save_artifacts(&dir).expect("save");
+
+    let mut consumer = Experiment::builder()
+        .scenario("smoke")
+        .seed(7)
+        .build()
+        .expect("smoke builds");
+    assert!(consumer
+        .load_artifacts(&dir)
+        .expect("store opens")
+        .complete());
+    assert!(consumer.loaded_stages().contains(&StageKind::Crawl));
+    flip_tail(&dir.join("crawl.bin"));
+
+    let reloaded = consumer.run();
+    assert_eq!(direct.to_json(), reloaded.to_json(), "JSON must match");
+    assert!(
+        !consumer.loaded_stages().contains(&StageKind::Crawl),
+        "a recomputed crawl must not count as loaded: {:?}",
+        consumer.loaded_stages()
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Formats and container versions mix freely within one store: a v2-era
 /// JSON crawl (schema_version 2 envelope, no format/chunks manifest
 /// keys) sits beside v3 binary stages, and a consumer loads all of them

@@ -1,20 +1,34 @@
 //! Reproducibility guarantees: the whole study is a deterministic
 //! function of the seed.
 
-use pd_core::{Experiment, ExperimentConfig};
+use pd_core::{stage, Engine, Executor, ExperimentConfig, NullObserver, Report, RunPlan};
+use std::sync::Arc;
+
+/// A serial, unobserved engine over a bare config.
+fn engine(config: ExperimentConfig) -> Engine {
+    Engine::from_plan(
+        RunPlan::new(config),
+        Executor::serial(),
+        Arc::new(NullObserver),
+    )
+}
+
+fn run(config: ExperimentConfig) -> Report {
+    engine(config).run()
+}
 
 #[test]
 fn same_seed_same_report() {
-    let a = Experiment::run(ExperimentConfig::small(77));
-    let b = Experiment::run(ExperimentConfig::small(77));
+    let a = run(ExperimentConfig::small(77));
+    let b = run(ExperimentConfig::small(77));
     // JSON is the strictest practical equality over the whole report.
     assert_eq!(a.to_json(), b.to_json());
 }
 
 #[test]
 fn different_seed_different_data() {
-    let a = Experiment::run(ExperimentConfig::small(77));
-    let b = Experiment::run(ExperimentConfig::small(78));
+    let a = run(ExperimentConfig::small(77));
+    let b = run(ExperimentConfig::small(78));
     assert_ne!(a.to_json(), b.to_json());
     // ...but the qualitative conclusions are seed-independent:
     for r in [&a, &b] {
@@ -47,8 +61,8 @@ fn same_seed_same_rendered_reports_across_runs() {
     // human-facing rendering path — every figure renderer and the table
     // renderer must be a pure function of the seed, with no iteration-order
     // or formatting nondeterminism.
-    let a = Experiment::run(ExperimentConfig::small(1307));
-    let b = Experiment::run(ExperimentConfig::small(1307));
+    let a = run(ExperimentConfig::small(1307));
+    let b = run(ExperimentConfig::small(1307));
     assert_eq!(a.render_all(), b.render_all());
     // Spot-check individual renderers too, so a failure names the figure.
     assert_eq!(a.render_summary(), b.render_summary());
@@ -59,8 +73,8 @@ fn same_seed_same_rendered_reports_across_runs() {
 
 #[test]
 fn different_seeds_render_different_reports() {
-    let a = Experiment::run(ExperimentConfig::small(1307));
-    let b = Experiment::run(ExperimentConfig::small(2024));
+    let a = run(ExperimentConfig::small(1307));
+    let b = run(ExperimentConfig::small(2024));
     assert_ne!(
         a.render_all(),
         b.render_all(),
@@ -70,11 +84,23 @@ fn different_seeds_render_different_reports() {
 
 #[test]
 fn phases_are_independently_rerunnable() {
-    // Re-running a phase on the same Experiment must not change results
-    // (no hidden RNG state is consumed across calls).
-    let exp = Experiment::new(ExperimentConfig::small(5));
-    let (s1, st1) = exp.run_crawl_phase();
-    let (s2, st2) = exp.run_crawl_phase();
+    // Re-running a phase over the same world must not change results
+    // (no hidden RNG state is consumed across calls). The stage function
+    // is called directly: `Engine::crawl` caches, which would make this
+    // test vacuous.
+    let engine = engine(ExperimentConfig::small(5));
+    let crawl = || {
+        let art = stage::crawl_stage(
+            engine.world(),
+            engine.config(),
+            &engine.world().paper_crawl_targets(),
+            engine.executor(),
+            &NullObserver,
+        );
+        (art.store, art.stats)
+    };
+    let (s1, st1) = crawl();
+    let (s2, st2) = crawl();
     assert_eq!(st1, st2);
     assert_eq!(s1.len(), s2.len());
     for (a, b) in s1.records().iter().zip(s2.records()) {

@@ -10,7 +10,7 @@
 //!   rebuilds zero domain frames, proven by the `frames_built` /
 //!   `frames_reused` observer counters.
 
-use pd_core::{Executor, Experiment, FrameCache, Profile, StageKind, TimingObserver};
+use pd_core::{Executor, Experiment, FrameCache, Profile, StageKind, StoreSource, TimingObserver};
 use pd_currency::{Currency, FxSeries, Price};
 use pd_net::clock::SimTime;
 use pd_sheriff::measurement::NoiseTruth;
@@ -95,11 +95,11 @@ proptest! {
         }
         let cache = FrameCache::new();
         let exec = Executor::new(threads);
-        let (cached, first) = cache.frame_for(key, &store, &fx, &exec);
+        let (cached, first) = cache.frame(key, StoreSource::Memory(&store), &fx, &exec).unwrap();
         let direct = pd_analysis::CheckFrame::build(&store, &fx);
         prop_assert_eq!(cached.rows(), direct.rows());
         prop_assert_eq!(first.built + first.reused, store.domains().len());
-        let (again, second) = cache.frame_for(key, &store, &fx, &exec);
+        let (again, second) = cache.frame(key, StoreSource::Memory(&store), &fx, &exec).unwrap();
         prop_assert!(Arc::ptr_eq(&cached, &again), "second call must be a cache hit");
         prop_assert_eq!(second.built, 0);
         prop_assert_eq!(second.reused, store.domains().len());

@@ -3,13 +3,23 @@
 //! how; the measurement pipeline must rediscover that — no more, no
 //! less.
 
-use pd_core::{Experiment, ExperimentConfig};
+use pd_core::{Engine, Executor, ExperimentConfig, NullObserver, RunPlan};
+use std::sync::Arc;
+
+/// A serial, unobserved engine over a bare config.
+fn engine(config: ExperimentConfig) -> Engine {
+    Engine::from_plan(
+        RunPlan::new(config),
+        Executor::serial(),
+        Arc::new(NullObserver),
+    )
+}
 use pd_crawler::{CrawlConfig, Crawler};
 use pd_util::Seed;
 
 #[test]
 fn every_crawled_discriminator_is_detected() {
-    let exp = Experiment::new(ExperimentConfig::small(1307));
+    let exp = engine(ExperimentConfig::small(1307));
     let world = exp.world();
     let targets = world.paper_crawl_targets();
     let crawler = Crawler::new(
@@ -38,7 +48,7 @@ fn every_crawled_discriminator_is_detected() {
 fn uniform_retailers_are_never_flagged() {
     // Zero false positives: crawling non-discriminating long-tail
     // domains must yield zero confirmed variations, across currencies.
-    let exp = Experiment::new(ExperimentConfig::small(1307));
+    let exp = engine(ExperimentConfig::small(1307));
     let world = exp.world();
     let uniform: Vec<String> = world
         .web
@@ -76,7 +86,7 @@ fn measured_ratios_match_ground_truth_factors() {
     // For a pure multiplicative retailer the measured per-location ratio
     // must equal the configured factor to within cent rounding and FX
     // noise.
-    let exp = Experiment::new(ExperimentConfig::small(1307));
+    let exp = engine(ExperimentConfig::small(1307));
     let world = exp.world();
     let crawler = Crawler::new(
         Seed::new(3),
@@ -113,8 +123,9 @@ fn cleaning_catches_injected_noise_with_high_recall() {
     config.crowd.checks = 250;
     config.crowd.customization_noise = 0.15;
     config.crowd.mis_highlight_noise = 0.0;
-    let mut exp = Experiment::new(config);
-    let (raw, _, report) = exp.run_crowd_phase();
+    let mut exp = engine(config);
+    let crowd = exp.crowd();
+    let (raw, report) = (&crowd.raw, crowd.cleaning);
     let truly_noisy = raw
         .records()
         .iter()
@@ -135,8 +146,8 @@ fn tax_inliners_are_excluded_from_crowd_analysis() {
     // cleaned crowd dataset (the paper's manual tax check).
     let mut config = ExperimentConfig::small(13);
     config.crowd.checks = 300;
-    let mut exp = Experiment::new(config);
-    let (_, cleaned, _) = exp.run_crowd_phase();
+    let mut exp = engine(config);
+    let cleaned = exp.crowd().cleaned.clone();
     let inliners: Vec<String> = exp
         .world()
         .web
