@@ -4,11 +4,16 @@
 //! the measurement stores — at paper scale that is hundreds of
 //! thousands of band-filter evaluations repeated for every re-analysis,
 //! every `pd rerun`, and every sweep arm. The [`FrameCache`] memoizes
-//! assembled frames keyed by the **measurement fingerprint** of the
-//! store they were cut from ([`crate::store`]). A miss builds one shard
-//! per domain in parallel (one task per retailer) on the deterministic
-//! [`Executor`] and splices the shards back into exact store order with
-//! [`CheckFrame::merge_shards`].
+//! one [`FrameEntry`] per stage — the assembled frame **and** the
+//! stage's Sec. 3.2 [`SummaryFacts`] — keyed by the **measurement
+//! fingerprint** of the store they were cut from ([`crate::store`]). A
+//! miss reads each domain's rows once, in parallel (one task per domain
+//! part) on the deterministic [`Executor`], and cuts both the domain's
+//! frame shard and its summary facts from those rows; the shards splice
+//! back into exact store order with [`CheckFrame::merge_shards`] and the
+//! facts fold in any order. The crowd entry reads two stores in that one
+//! fan-out: the cleaned rows give the frame, the raw rows the crowd
+//! facts. A hit reads nothing: no row is scanned and no chunk decoded.
 //!
 //! Because the key is the fingerprint — a digest of everything that can
 //! reshape the store — a cache hit is exactly as trustworthy as the
@@ -20,12 +25,12 @@
 //! through seed, config or engine knobs, all part of the fingerprint) —
 //! cross-arm reuse only materializes for custom sweeps whose arms vary
 //! nothing but [`crate::AnalysisConfig`]. If two such arms do race on a
-//! key, both may build the same frame; results are unaffected (equal
+//! key, both may build the same entry; results are unaffected (equal
 //! values, first insert wins) and only the per-arm `frames_built`
 //! counters over-report.
 //!
 //! ```
-//! use pd_core::{Executor, FrameCache, StoreSource};
+//! use pd_core::{Executor, FrameCache, StageRows, StoreSource};
 //! use pd_currency::FxSeries;
 //! use pd_sheriff::MeasurementStore;
 //! use pd_util::Seed;
@@ -34,16 +39,18 @@
 //! let fx = FxSeries::generate(Seed::new(1), 10);
 //! let store = MeasurementStore::new();
 //! let exec = Executor::serial();
-//! let (frame, stats) = cache.frame(7, StoreSource::Memory(&store), &fx, &exec).unwrap();
+//! let rows = StageRows::Crawl(StoreSource::Memory(&store));
+//! let (entry, stats) = cache.frame(7, rows, &fx, &exec).unwrap();
 //! assert_eq!((stats.built, stats.reused), (0, 0), "empty store, no shards");
-//! let (again, stats) = cache.frame(7, StoreSource::Memory(&store), &fx, &exec).unwrap();
-//! assert!(std::sync::Arc::ptr_eq(&frame, &again), "second call is a hit");
+//! let (again, stats) = cache.frame(7, rows, &fx, &exec).unwrap();
+//! assert!(std::sync::Arc::ptr_eq(&entry, &again), "second call is a hit");
 //! assert_eq!(stats.built, 0);
 //! ```
 
 use crate::executor::Executor;
 use crate::observer::StageKind;
 use crate::store::{ChunkedPayload, StoreError};
+use pd_analysis::summary::SummaryFacts;
 use pd_analysis::{CheckFrame, CheckRow};
 use pd_currency::FxSeries;
 use pd_sheriff::{Measurement, MeasurementStore};
@@ -63,9 +70,11 @@ pub struct FrameStats {
     /// Domain frames served from cache (a whole assembled frame).
     pub reused: usize,
     /// Binary store chunks decoded from a [`ChunkedPayload`] by this
-    /// call. Zero on the in-memory path and on every cache hit — a
-    /// non-zero value proves the call streamed rows from disk without
-    /// materializing the whole payload.
+    /// call — every row chunk the entry needs (for the crowd, the raw
+    /// chunks behind its summary facts too), each exactly once. Zero on
+    /// the in-memory path and on every cache hit — a non-zero value
+    /// proves the call streamed rows from disk without materializing
+    /// the whole payload.
     pub chunks_loaded: usize,
 }
 
@@ -82,41 +91,113 @@ pub enum StoreSource<'a> {
     Chunked(&'a ChunkedPayload, &'static str),
 }
 
-impl StoreSource<'_> {
-    /// Feeds every row of this source to `f`, one chunk at a time for
-    /// chunked sources.
-    pub(crate) fn scan(&self, mut f: impl FnMut(&Measurement)) -> Result<(), StoreError> {
-        match self {
-            Self::Memory(store) => {
-                store.records().iter().for_each(f);
-                Ok(())
-            }
-            Self::Chunked(payload, section) => {
-                for name in payload.chunk_names(section) {
-                    for m in payload.read_chunk_rows::<Measurement>(section, name)? {
-                        f(&m);
-                    }
+/// The stores behind one [`FrameCache`] entry.
+#[derive(Debug, Clone, Copy)]
+pub enum StageRows<'a> {
+    /// The crowd stage: the frame comes from the `cleaned` store, the
+    /// summary facts from the `raw` one.
+    Crowd {
+        /// Every campaign measurement (the crowd facts).
+        raw: StoreSource<'a>,
+        /// The cleaned measurements (the crowd frame).
+        cleaned: StoreSource<'a>,
+    },
+    /// The crawl stage: frame and crawl facts from one store, cut from
+    /// the same rows.
+    Crawl(StoreSource<'a>),
+}
+
+/// One memoized analysis input: a stage's check frame and its Sec. 3.2
+/// summary facts.
+#[derive(Debug)]
+pub struct FrameEntry {
+    /// The analysis-ready frame, in store order.
+    pub frame: CheckFrame,
+    /// The stage's summary facts (crowd or crawl fields only).
+    pub facts: SummaryFacts,
+}
+
+/// A store cut into per-domain parts, each readable on its own.
+enum Parts<'a> {
+    /// In-memory rows partitioned by domain in one pass (rescanning the
+    /// store once per domain would be quadratic at paper scale).
+    Memory(Vec<Vec<&'a Measurement>>),
+    /// One chunk per domain, decoded on demand.
+    Chunked(&'a ChunkedPayload, &'static str, Vec<&'a str>),
+}
+
+impl<'a> Parts<'a> {
+    /// Cuts `source` into parts in first-seen domain order — chunks
+    /// follow that order and keep store order inside, so both sources
+    /// yield the same parts.
+    fn of(source: StoreSource<'a>) -> Self {
+        match source {
+            StoreSource::Memory(store) => {
+                let domains = store.domains();
+                let slot_of: HashMap<&str, usize> = domains
+                    .iter()
+                    .enumerate()
+                    .map(|(slot, domain)| (domain.as_str(), slot))
+                    .collect();
+                let mut parts = vec![Vec::new(); domains.len()];
+                for m in store.records() {
+                    parts[slot_of[m.domain.as_str()]].push(m);
                 }
-                Ok(())
+                Self::Memory(parts)
+            }
+            StoreSource::Chunked(payload, section) => {
+                Self::Chunked(payload, section, payload.chunk_names(section))
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Self::Memory(parts) => parts.len(),
+            Self::Chunked(_, _, names) => names.len(),
+        }
+    }
+
+    /// Chunks a full read of these parts decodes.
+    fn chunks(&self) -> usize {
+        match self {
+            Self::Memory(_) => 0,
+            Self::Chunked(_, _, names) => names.len(),
+        }
+    }
+
+    /// Runs `f` over part `j`'s rows in store order, decoding its chunk
+    /// for a chunked source.
+    fn with_rows<T>(
+        &self,
+        j: usize,
+        f: impl FnOnce(&[&Measurement]) -> T,
+    ) -> Result<T, StoreError> {
+        match self {
+            Self::Memory(parts) => Ok(f(&parts[j])),
+            Self::Chunked(payload, section, names) => {
+                let rows: Vec<Measurement> = payload.read_chunk_rows(section, names[j])?;
+                Ok(f(&rows.iter().collect::<Vec<_>>()))
             }
         }
     }
 }
 
 /// One domain's frame shard, from that domain's rows in store order.
-fn shard<'a>(rows: impl Iterator<Item = &'a Measurement>, fx: &FxSeries) -> CheckFrame {
+fn shard(rows: &[&Measurement], fx: &FxSeries) -> CheckFrame {
     CheckFrame::from_rows(
-        rows.filter_map(|m| CheckRow::from_measurement(m, fx))
+        rows.iter()
+            .filter_map(|m| CheckRow::from_measurement(m, fx))
             .collect(),
     )
 }
 
-/// Shared, thread-safe cache of assembled [`CheckFrame`]s keyed by
-/// store fingerprint. See the [module docs](self).
+/// Shared, thread-safe cache of [`FrameEntry`]s keyed by store
+/// fingerprint. See the [module docs](self).
 #[derive(Debug, Default)]
 pub struct FrameCache {
-    /// `store fingerprint → (full frame, number of domain shards)`.
-    assembled: Mutex<HashMap<u64, (Arc<CheckFrame>, usize)>>,
+    /// `store fingerprint → (entry, number of domain shards)`.
+    assembled: Mutex<HashMap<u64, (Arc<FrameEntry>, usize)>>,
 }
 
 impl FrameCache {
@@ -126,22 +207,20 @@ impl FrameCache {
         Self::default()
     }
 
-    /// The analysis-ready frame for `source`, identified by `key` (the
-    /// producing stage's fingerprint). A hit returns the memoized frame;
-    /// a miss builds one shard per domain in parallel on `exec` and
-    /// splices them into store order. The frame is row-for-row
-    /// identical to `CheckFrame::build` over the source's rows at any
-    /// thread count, whichever the source.
-    ///
-    /// Only per-domain row access differs between sources. A memory
-    /// store is partitioned by domain in one pass (rescanning it once
-    /// per domain would be quadratic at paper scale); a chunked payload
-    /// decodes exactly one chunk of its section per domain — chunks
-    /// follow store first-seen domain order and keep store order
-    /// inside, so both sources share one key space.
+    /// The analysis-ready frame and summary facts for `rows`, identified
+    /// by `key` (the producing stage's fingerprint). A hit returns the
+    /// memoized entry and reads no rows. A miss reads every domain part
+    /// once in one parallel fan-out on `exec` — for the crowd, the
+    /// cleaned parts (frame shards) and the raw parts (facts) side by
+    /// side; for the crawl, shard and facts from the same rows — then
+    /// splices the shards into store order and folds the facts. The
+    /// frame is row-for-row identical to `CheckFrame::build` over the
+    /// frame rows at any thread count, whichever the source, and the
+    /// facts finish to the numbers of a whole-store
+    /// [`pd_analysis::summary::SummaryScan`].
     ///
     /// Correctness rests on the fingerprint contract: `key` must change
-    /// whenever the store's content could ([`crate::store`] derives it
+    /// whenever the stores' content could ([`crate::store`] derives it
     /// from the full measurement configuration).
     ///
     /// # Errors
@@ -156,63 +235,62 @@ impl FrameCache {
     pub fn frame(
         &self,
         key: u64,
-        source: StoreSource<'_>,
+        rows: StageRows<'_>,
         fx: &FxSeries,
         exec: &Executor,
-    ) -> Result<(Arc<CheckFrame>, FrameStats), StoreError> {
-        if let Some((frame, shards)) = self.assembled.lock().expect("frame cache lock").get(&key) {
+    ) -> Result<(Arc<FrameEntry>, FrameStats), StoreError> {
+        if let Some((entry, shards)) = self.assembled.lock().expect("frame cache lock").get(&key) {
             let stats = FrameStats {
                 reused: *shards,
                 ..FrameStats::default()
             };
-            return Ok((Arc::clone(frame), stats));
+            return Ok((Arc::clone(entry), stats));
         }
-        // The executor's index-ordered merge keeps the build
-        // deterministic.
-        let (shards, chunks_loaded) = match source {
-            StoreSource::Memory(store) => {
-                let domains = store.domains();
-                let slot_of: HashMap<&str, usize> = domains
-                    .iter()
-                    .enumerate()
-                    .map(|(slot, domain)| (domain.as_str(), slot))
-                    .collect();
-                let records = store.records();
-                let mut members: Vec<Vec<usize>> = vec![Vec::new(); domains.len()];
-                for (idx, m) in records.iter().enumerate() {
-                    members[slot_of[m.domain.as_str()]].push(idx);
-                }
-                let shards = exec.map_indexed(domains.len(), |j| {
-                    shard(members[j].iter().map(|&idx| &records[idx]), fx)
-                });
-                (shards, 0)
-            }
-            StoreSource::Chunked(payload, section) => {
-                let domains = payload.chunk_names(section);
-                let shards = exec
-                    .map_indexed(domains.len(), |j| {
-                        let rows: Vec<Measurement> =
-                            payload.read_chunk_rows(section, domains[j])?;
-                        Ok::<_, StoreError>(shard(rows.iter(), fx))
-                    })
-                    .into_iter()
-                    .collect::<Result<Vec<_>, _>>()?;
-                let decoded = shards.len();
-                (shards, decoded)
-            }
+        let (frame_parts, raw_parts) = match rows {
+            StageRows::Crowd { raw, cleaned } => (Parts::of(cleaned), Some(Parts::of(raw))),
+            StageRows::Crawl(store) => (Parts::of(store), None),
         };
-        let frame = Arc::new(CheckFrame::merge_shards(&shards));
+        let shards = frame_parts.len();
+        let raw_len = raw_parts.as_ref().map_or(0, Parts::len);
+        // Frame parts first, then raw crowd parts; the executor's
+        // index-ordered merge keeps the build deterministic.
+        let parts = exec
+            .map_indexed(shards + raw_len, |j| match &raw_parts {
+                Some(raw) if j >= shards => raw.with_rows(j - shards, |rows| {
+                    (None, SummaryFacts::crowd(rows.iter().copied()))
+                }),
+                Some(_) => frame_parts
+                    .with_rows(j, |rows| (Some(shard(rows, fx)), SummaryFacts::default())),
+                None => frame_parts.with_rows(j, |rows| {
+                    (
+                        Some(shard(rows, fx)),
+                        SummaryFacts::crawl(rows.iter().copied()),
+                    )
+                }),
+            })
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut frame_shards = Vec::with_capacity(shards);
+        let mut facts = SummaryFacts::default();
+        for (shard, part) in parts {
+            frame_shards.extend(shard);
+            facts.merge(&part);
+        }
+        let entry = Arc::new(FrameEntry {
+            frame: CheckFrame::merge_shards(&frame_shards),
+            facts,
+        });
         self.assembled
             .lock()
             .expect("frame cache lock")
             .entry(key)
-            .or_insert_with(|| (Arc::clone(&frame), shards.len()));
+            .or_insert_with(|| (Arc::clone(&entry), shards));
         let stats = FrameStats {
-            built: shards.len(),
+            built: shards,
             reused: 0,
-            chunks_loaded,
+            chunks_loaded: frame_parts.chunks() + raw_parts.as_ref().map_or(0, Parts::chunks),
         };
-        Ok((frame, stats))
+        Ok((entry, stats))
     }
 }
 
@@ -362,10 +440,15 @@ mod tests {
         for threads in [1, 4] {
             let exec = Executor::new(threads);
             let (frame, stats) = cache
-                .frame(42, StoreSource::Memory(&store), &fx, &exec)
+                .frame(
+                    42,
+                    StageRows::Crawl(StoreSource::Memory(&store)),
+                    &fx,
+                    &exec,
+                )
                 .expect("memory sources cannot fail");
             let direct = CheckFrame::build(&store, &fx);
-            assert_eq!(frame.rows(), direct.rows(), "{threads} threads");
+            assert_eq!(frame.frame.rows(), direct.rows(), "{threads} threads");
             if threads == 1 {
                 assert_eq!(
                     stats,
@@ -416,18 +499,28 @@ mod tests {
             .save("crawl", fp, &[], &art)
             .expect("saves binary");
         let payload = artifacts.open_chunked("crawl", fp).expect("opens chunked");
-        let chunked = StoreSource::Chunked(&payload, "store");
+        let chunked = StageRows::Crawl(StoreSource::Chunked(&payload, "store"));
 
         let fx = fx();
         for threads in [1, 4] {
             let exec = Executor::new(threads);
             let memory = FrameCache::new();
             let (direct, _) = memory
-                .frame(11, StoreSource::Memory(&store), &fx, &exec)
+                .frame(
+                    11,
+                    StageRows::Crawl(StoreSource::Memory(&store)),
+                    &fx,
+                    &exec,
+                )
                 .expect("memory build");
             let cache = FrameCache::new();
             let (streamed, stats) = cache.frame(11, chunked, &fx, &exec).expect("chunked build");
-            assert_eq!(streamed.rows(), direct.rows(), "{threads} threads");
+            assert_eq!(
+                streamed.frame.rows(),
+                direct.frame.rows(),
+                "{threads} threads"
+            );
+            assert_eq!(streamed.facts, direct.facts, "{threads} threads");
             assert_eq!(stats.built, 3);
             assert_eq!(stats.chunks_loaded, 3, "one chunk decoded per domain");
             // Second call is an assembled-frame hit: no disk reads.
@@ -466,13 +559,35 @@ mod tests {
         let fx = fx();
         let exec = Executor::serial();
         let (full, _) = cache
-            .frame(1, StoreSource::Memory(&store), &fx, &exec)
+            .frame(1, StageRows::Crawl(StoreSource::Memory(&store)), &fx, &exec)
             .expect("memory build");
         let (small, stats) = cache
-            .frame(2, StoreSource::Memory(&other), &fx, &exec)
+            .frame(2, StageRows::Crawl(StoreSource::Memory(&other)), &fx, &exec)
             .expect("memory build");
         assert_eq!(stats.built, 1, "same domain under a new key rebuilds");
-        assert_eq!(full.len(), 4);
-        assert_eq!(small.len(), 1);
+        assert_eq!(full.frame.len(), 4);
+        assert_eq!(small.frame.len(), 1);
+    }
+
+    #[test]
+    fn crowd_entry_cuts_frame_from_cleaned_and_facts_from_raw() {
+        let raw = sample_store();
+        let mut cleaned = sample_store();
+        cleaned.retain(|m| m.domain != "b.example");
+        let fx = fx();
+        for threads in [1, 3] {
+            let rows = StageRows::Crowd {
+                raw: StoreSource::Memory(&raw),
+                cleaned: StoreSource::Memory(&cleaned),
+            };
+            let (entry, stats) = FrameCache::new()
+                .frame(5, rows, &fx, &Executor::new(threads))
+                .expect("memory build");
+            assert_eq!(entry.frame.rows(), CheckFrame::build(&cleaned, &fx).rows());
+            assert_eq!(stats.built, 2, "one shard per cleaned domain");
+            // Per-domain facts fold to the whole raw store's facts.
+            let whole = SummaryFacts::crowd(raw.records());
+            assert_eq!(entry.facts, whole, "{threads} threads");
+        }
     }
 }

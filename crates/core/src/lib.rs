@@ -87,7 +87,7 @@ pub mod world;
 
 pub use config::{AnalysisConfig, ExperimentConfig, WorldConfig};
 pub use executor::Executor;
-pub use frames::{FrameCache, FrameStats, StoreCache, StoreSource};
+pub use frames::{FrameCache, FrameEntry, FrameStats, StageRows, StoreCache, StoreSource};
 pub use observer::{
     BufferedObserver, NullObserver, RunObserver, StageKind, StageTiming, TimingObserver,
 };

@@ -588,8 +588,9 @@ impl Engine {
     /// Crowd and crawl rows each come from the in-memory artifact, else a
     /// chunked handle (a **binary** entry in the attached store, or one
     /// opened by [`Engine::load_artifacts`]), else computing the stage.
-    /// Chunked rows are streamed one domain chunk at a time (the
-    /// `frames_chunks_loaded` counter reports how many) instead of
+    /// Chunked rows are streamed one domain chunk at a time, each chunk
+    /// decoded at most once and none on a frame-cache hit (the
+    /// `frames_chunks_loaded` counter reports how many), instead of
     /// deserializing the whole payload; a chunk that fails mid-read
     /// drops the handles and falls back to computing in memory.
     pub fn analyze(&mut self) -> AnalysisArtifact {

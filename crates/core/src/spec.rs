@@ -227,6 +227,17 @@ pub enum SpecError {
     RateOutOfRange(f64),
     /// A vantage-subset arm lists no probes.
     EmptyVantageSubset(String),
+    /// The crawl ends too close to the end of the FX series: the analysis
+    /// probes run up to day `start_day + days + 3`, which must lie inside
+    /// the series.
+    CrawlBeyondFx {
+        /// `crawl.start_day` after the patch.
+        start_day: u64,
+        /// `crawl.days` after the patch.
+        days: u64,
+        /// The FX series length in days.
+        fx_days: usize,
+    },
 }
 
 impl fmt::Display for SpecError {
@@ -250,6 +261,15 @@ impl fmt::Display for SpecError {
             SpecError::EmptyVantageSubset(label) => {
                 write!(f, "vantage-subset arm {label:?} lists no probes")
             }
+            SpecError::CrawlBeyondFx {
+                start_day,
+                days,
+                fx_days,
+            } => write!(
+                f,
+                "crawl.start_day {start_day} + crawl.days {days} runs past the \
+                 {fx_days}-day FX series (need start_day + days + 3 < {fx_days})"
+            ),
         }
     }
 }
@@ -598,7 +618,10 @@ impl ScenarioSpec {
     ///
     /// # Errors
     ///
-    /// [`SpecError`] if the spec fails [`ScenarioSpec::validate`].
+    /// [`SpecError`] if the spec fails [`ScenarioSpec::validate`], or
+    /// [`SpecError::CrawlBeyondFx`] if the patched crawl leaves the
+    /// analysis probes no room in the FX series (no sweep axis moves the
+    /// crawl, so the base plan decides for every arm).
     pub fn lower(&self, params: &ScenarioParams) -> Result<ScenarioRun, SpecError> {
         self.validate()?;
         let profile = match &self.base {
@@ -608,6 +631,16 @@ impl ScenarioSpec {
         let seed = self.patch.seed.unwrap_or(params.seed);
         let mut base = RunPlan::new(profile.config(seed));
         self.patch.apply(&mut base);
+        let config = &base.config;
+        // Attribution probes day `start_day + days + 3` (its base day is
+        // `start_day + days + 2`, and the day factor looks one further).
+        if config.crawl.start_day + config.crawl.days + 3 >= config.fx_days as u64 {
+            return Err(SpecError::CrawlBeyondFx {
+                start_day: config.crawl.start_day,
+                days: config.crawl.days,
+                fx_days: config.fx_days,
+            });
+        }
         if self.sweep.is_empty() {
             return Ok(ScenarioRun::Single(base));
         }

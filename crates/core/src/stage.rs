@@ -28,13 +28,13 @@
 
 use crate::config::ExperimentConfig;
 use crate::executor::Executor;
-use crate::frames::{FrameCache, StoreSource};
+use crate::frames::{FrameCache, StageRows, StoreSource};
 use crate::observer::{RunObserver, StageKind};
 use crate::report::{Fig8Grid, Report};
 use crate::scenario::RunPlan;
 use crate::store::StoreError;
 use crate::world::World;
-use pd_analysis::{crawl, crowd as crowd_figs, location, login, strategy, summary, thirdparty};
+use pd_analysis::{crawl, crowd as crowd_figs, location, login, strategy, thirdparty};
 use pd_crawler::crawl::RetailerCrawlStats;
 use pd_crawler::{select_targets, Crawler};
 use pd_currency::Locale;
@@ -460,10 +460,13 @@ pub(crate) struct FrameKeys<'a> {
 
 /// Stage 5: every figure and table, from the upstream rows wherever they
 /// live ([`StoreSource`]: memory, or domain chunks streamed off disk).
-/// The check frames come from the [`FrameCache`] — per-domain shards
-/// built in parallel on the first call, reused (`frames_built = 0`) by
-/// every later analysis of the same measurement fingerprints, including
-/// `pd rerun` and sweep arms sharing an upstream crawl — and the
+/// The check frames and the Sec. 3.2 summary facts come from the
+/// [`FrameCache`] — cut from the same per-domain reads, in parallel, on
+/// the first call, and reused (`frames_built = 0`, no row read, no
+/// chunk decoded) by every later analysis of the same measurement
+/// fingerprints, including `pd rerun` and sweep arms sharing an
+/// upstream crawl. There is no second streaming pass for the summary:
+/// each stored row chunk is decoded at most once per analysis. The
 /// per-retailer attribution probes fan across the executor.
 ///
 /// # Errors
@@ -485,8 +488,13 @@ pub(crate) fn analysis_over(
 ) -> Result<AnalysisArtifact, StoreError> {
     observed(obs, StageKind::Analysis, || {
         let fx = world.web.fx();
-        let (crowd_frame, crowd_stats) = frames.cache.frame(frames.crowd, crowd_clean, fx, exec)?;
-        let (crawl_frame, crawl_stats) = frames.cache.frame(frames.crawl, crawl_store, fx, exec)?;
+        let crowd_rows = StageRows::Crowd {
+            raw: crowd_raw,
+            cleaned: crowd_clean,
+        };
+        let crawl_rows = StageRows::Crawl(crawl_store);
+        let (crowd, crowd_stats) = frames.cache.frame(frames.crowd, crowd_rows, fx, exec)?;
+        let (crawl, crawl_stats) = frames.cache.frame(frames.crawl, crawl_rows, fx, exec)?;
         obs.counter(
             StageKind::Analysis,
             "frames_built",
@@ -502,8 +510,8 @@ pub(crate) fn analysis_over(
             "frames_chunks_loaded",
             (crowd_stats.chunks_loaded + crawl_stats.chunks_loaded) as u64,
         );
-        let crowd_frame = &*crowd_frame;
-        let crawl_frame = &*crawl_frame;
+        let crowd_frame = &crowd.frame;
+        let crawl_frame = &crawl.frame;
         let labels = world.vantage_labels();
 
         // Fig. 1 + Fig. 2 (crowd view).
@@ -593,13 +601,11 @@ pub(crate) fn analysis_over(
         let third_party =
             thirdparty::scan_third_parties(&world.web, &targets, boston_vp.addr, exp_time);
 
-        // The Sec. 3.2 summary is a streaming scan: chunked sources
-        // feed it one domain chunk at a time, memory sources row by row
-        // — identical numbers either way.
-        let mut scan = summary::SummaryScan::new();
-        crowd_raw.scan(|m| scan.crowd_row(m))?;
-        crawl_store.scan(|m| scan.crawl_row(m))?;
-        let summary = scan.finish(&world.crowd);
+        // The Sec. 3.2 summary folds the facts memoized beside the two
+        // frames: no second pass over the rows.
+        let mut facts = crowd.facts.clone();
+        facts.merge(&crawl.facts);
+        let summary = facts.finish(&world.crowd);
 
         // Extension: per-retailer factor attribution over the crawled
         // set, fanned per retailer.

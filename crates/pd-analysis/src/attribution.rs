@@ -189,14 +189,21 @@ pub fn attribute(
 
     let mut effects = Vec::with_capacity(Factor::ALL.len());
     let sid = [("sid", "9001")];
+    // The shared baseline (us_a, t0, sid 9001) of the country, city, day
+    // and login factors, fetched once per product: a fetch is a pure
+    // function of its request.
+    let baselines: Vec<Option<Price>> = slugs
+        .iter()
+        .map(|slug| fetch(slug, probes.us_a.0, probes.us_a.1.country, t0, &sid))
+        .collect();
     for factor in Factor::ALL {
         let mut varies = false;
         let mut max_ratio = 1.0f64;
-        for slug in &slugs {
+        for (slug, baseline) in slugs.iter().zip(&baselines) {
             let (v, r) = match factor {
                 Factor::Country => {
                     let (Some(a), Some(b)) = (
-                        fetch(slug, probes.us_a.0, probes.us_a.1.country, t0, &sid),
+                        *baseline,
                         fetch(slug, probes.foreign.0, probes.foreign.1.country, t0, &sid),
                     ) else {
                         continue;
@@ -204,10 +211,14 @@ pub fn attribute(
                     cross_ratio(a, b, base_day as usize)
                 }
                 Factor::CityWithinCountry => {
-                    let ps: Vec<Price> = [&probes.us_a, &probes.us_b, &probes.us_c]
-                        .iter()
-                        .filter_map(|(addr, loc)| fetch(slug, *addr, loc.country, t0, &sid))
-                        .collect();
+                    let ps: Vec<Price> = [
+                        *baseline,
+                        fetch(slug, probes.us_b.0, probes.us_b.1.country, t0, &sid),
+                        fetch(slug, probes.us_c.0, probes.us_c.1.country, t0, &sid),
+                    ]
+                    .into_iter()
+                    .flatten()
+                    .collect();
                     if ps.len() < 3 {
                         continue;
                     }
@@ -233,7 +244,7 @@ pub fn attribute(
                 }
                 Factor::Day => {
                     let (Some(a), Some(b)) = (
-                        fetch(slug, probes.us_a.0, probes.us_a.1.country, t0, &sid),
+                        *baseline,
                         fetch(slug, probes.us_a.0, probes.us_a.1.country, t1, &sid),
                     ) else {
                         continue;
@@ -242,7 +253,7 @@ pub fn attribute(
                 }
                 Factor::Login => {
                     let (Some(a), Some(b)) = (
-                        fetch(slug, probes.us_a.0, probes.us_a.1.country, t0, &sid),
+                        *baseline,
                         fetch(
                             slug,
                             probes.us_a.0,

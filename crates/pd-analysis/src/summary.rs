@@ -85,6 +85,86 @@ impl SummaryScan {
     }
 }
 
+/// The Sec. 3.2 facts of one *part* of the data, to be folded with
+/// [`SummaryFacts::merge`] in any order. A part holds every row of each
+/// domain it contains — one store chunk, one in-memory domain partition
+/// — so per-domain distinct counts (domains, crawled products) add up
+/// across parts, and only crowd users and crawl days need small sets.
+/// Crowd and crawl parts share the type: each fills only its own
+/// fields, so folding a stage's crowd facts with its crawl facts gives
+/// the whole summary. Facts hold counts and ids, never row strings, so
+/// they are cheap to memoise beside a frame.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SummaryFacts {
+    crowd_requests: usize,
+    crowd_users: HashSet<UserId>,
+    crowd_domains: usize,
+    crawl_domains: usize,
+    crawled_products: usize,
+    crawl_days: HashSet<usize>,
+    crawled_prices: usize,
+}
+
+impl SummaryFacts {
+    /// The facts of **raw crowd** rows holding whole domains.
+    #[must_use]
+    pub fn crowd<'a>(rows: impl IntoIterator<Item = &'a Measurement>) -> Self {
+        let mut facts = Self::default();
+        let mut domains = HashSet::new();
+        for m in rows {
+            facts.crowd_requests += 1;
+            facts.crowd_users.insert(m.user);
+            domains.insert(m.domain.as_str());
+        }
+        facts.crowd_domains = domains.len();
+        facts
+    }
+
+    /// The facts of **crawl** rows holding whole domains.
+    #[must_use]
+    pub fn crawl<'a>(rows: impl IntoIterator<Item = &'a Measurement>) -> Self {
+        let mut facts = Self::default();
+        let mut domains = HashSet::new();
+        let mut products = HashSet::new();
+        for m in rows {
+            domains.insert(m.domain.as_str());
+            products.insert((m.domain.as_str(), m.product_slug.as_str()));
+            facts.crawl_days.insert(m.day());
+            facts.crawled_prices += m.observations.iter().filter(|o| o.price.is_some()).count();
+        }
+        facts.crawl_domains = domains.len();
+        facts.crawled_products = products.len();
+        facts
+    }
+
+    /// Folds another part's facts into these (order never matters).
+    pub fn merge(&mut self, other: &Self) {
+        self.crowd_requests += other.crowd_requests;
+        self.crowd_users.extend(&other.crowd_users);
+        self.crowd_domains += other.crowd_domains;
+        self.crawl_domains += other.crawl_domains;
+        self.crawled_products += other.crawled_products;
+        self.crawl_days.extend(&other.crawl_days);
+        self.crawled_prices += other.crawled_prices;
+    }
+
+    /// The Sec. 3.2 headline numbers for every part folded so far — the
+    /// same numbers a [`SummaryScan`] over all their rows yields.
+    #[must_use]
+    pub fn finish(&self, crowd: &Crowd) -> DatasetSummary {
+        DatasetSummary {
+            crowd_requests: self.crowd_requests,
+            crowd_users: self.crowd_users.len(),
+            crowd_countries: crowd.country_count(),
+            crowd_domains: self.crowd_domains,
+            crawled_retailers: self.crawl_domains,
+            crawled_products: self.crawled_products,
+            crawl_days: self.crawl_days.len(),
+            crawled_prices: self.crawled_prices,
+        }
+    }
+}
+
 /// Builds the summary from the two stores and the crowd.
 #[must_use]
 pub fn dataset_summary(
@@ -174,5 +254,13 @@ mod tests {
             scan.crowd_row(m);
         }
         assert_eq!(scan.finish(&crowd), s);
+
+        // Per-domain facts, folded in any order, agree too.
+        let mut facts = SummaryFacts::crawl(crawl_store.records());
+        for domain in ["b.example", "a.example"] {
+            let part = crowd_store.records().iter().filter(|m| m.domain == domain);
+            facts.merge(&SummaryFacts::crowd(part));
+        }
+        assert_eq!(facts.finish(&crowd), s);
     }
 }

@@ -412,6 +412,82 @@ fn chunk_rot_after_open_falls_back_to_memory() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Each analysis decodes every stored row chunk at most once: a cold
+/// `analyze()` of a binary smoke store decodes exactly the row chunks of
+/// crowd `raw` + `cleaned` and crawl `store` (the Sec. 3.2 summary is
+/// cut from the same reads as the frames), and a second `analyze()` on
+/// the same frame cache decodes none — it even survives the row files
+/// disappearing under it.
+#[test]
+fn analysis_decodes_each_row_chunk_once_and_a_warm_one_none() {
+    let dir = tmp("decode-once");
+    let mut producer = Experiment::builder()
+        .scenario("smoke")
+        .seed(7)
+        .store_format(StoreFormat::Binary)
+        .build()
+        .expect("smoke builds");
+    let direct = producer.run();
+    producer.save_artifacts(&dir).expect("save");
+
+    let plan = RunPlan::new(ExperimentConfig::smoke(7));
+    let artifacts = ArtifactStore::open(&dir).expect("store opens");
+    let crowd = artifacts
+        .open_chunked("crowd", store::crowd_fingerprint(&plan))
+        .expect("binary crowd");
+    let crawl = artifacts
+        .open_chunked("crawl", store::crawl_fingerprint(&plan))
+        .expect("binary crawl");
+    let row_chunks = crowd.chunk_names("raw").len()
+        + crowd.chunk_names("cleaned").len()
+        + crawl.chunk_names("store").len();
+    assert!(row_chunks > 0);
+
+    let observer = Arc::new(TimingObserver::new());
+    let mut consumer = Experiment::builder()
+        .scenario("smoke")
+        .seed(7)
+        .observer(observer.clone())
+        .build()
+        .expect("smoke builds");
+    assert!(consumer
+        .load_artifacts(&dir)
+        .expect("store opens")
+        .complete());
+    let decoded = |run: usize| -> u64 {
+        observer
+            .timings()
+            .iter()
+            .filter(|t| t.stage == StageKind::Analysis)
+            .nth(run)
+            .expect("analysis ran")
+            .counters
+            .iter()
+            .filter(|(name, _)| name == "frames_chunks_loaded")
+            .map(|(_, value)| *value)
+            .sum()
+    };
+    let cold = consumer.analyze();
+    assert_eq!(cold.report.to_json(), direct.to_json());
+    assert_eq!(decoded(0), row_chunks as u64, "cold: every row chunk once");
+    // With the row files gone, a warm analysis can only succeed if it
+    // reads nothing: any decode would fail and fall back to measuring.
+    for stage in ["crowd", "crawl"] {
+        std::fs::remove_file(dir.join(format!("{stage}.bin"))).expect("binary entry exists");
+    }
+    let warm = consumer.analyze();
+    assert_eq!(warm.report.to_json(), direct.to_json());
+    assert_eq!(decoded(1), 0, "warm: the frame cache decodes nothing");
+    for kind in [StageKind::Crowd, StageKind::Crawl] {
+        assert_eq!(observer.starts(kind), 0, "{kind} must not be recomputed");
+        assert!(
+            consumer.loaded_stages().contains(&kind),
+            "{kind} stays loaded"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Formats and container versions mix freely within one store: a v2-era
 /// JSON crawl (schema_version 2 envelope, no format/chunks manifest
 /// keys) sits beside v3 binary stages, and a consumer loads all of them

@@ -6,11 +6,19 @@
 //!   `CheckFrame::build` on the full store row-for-row. This is the
 //!   invariant that lets the engine build frames one retailer at a time
 //!   (in parallel, cached) without perturbing a single figure.
+//! * **Summary-fold property** — the Sec. 3.2 summary facts of any
+//!   split of a store into whole-domain parts fold, in any order, to
+//!   the numbers of one whole-store `SummaryScan`. This is what lets
+//!   the cache cut the summary from the same per-domain reads as the
+//!   frame.
 //! * **FrameCache reuse** — a second `analyze()` on the same engine
 //!   rebuilds zero domain frames, proven by the `frames_built` /
 //!   `frames_reused` observer counters.
 
-use pd_core::{Executor, Experiment, FrameCache, Profile, StageKind, StoreSource, TimingObserver};
+use pd_analysis::summary::{SummaryFacts, SummaryScan};
+use pd_core::{
+    Executor, Experiment, FrameCache, Profile, StageKind, StageRows, StoreSource, TimingObserver,
+};
 use pd_currency::{Currency, FxSeries, Price};
 use pd_net::clock::SimTime;
 use pd_sheriff::measurement::NoiseTruth;
@@ -95,14 +103,78 @@ proptest! {
         }
         let cache = FrameCache::new();
         let exec = Executor::new(threads);
-        let (cached, first) = cache.frame(key, StoreSource::Memory(&store), &fx, &exec).unwrap();
+        let rows = StageRows::Crawl(StoreSource::Memory(&store));
+        let (cached, first) = cache.frame(key, rows, &fx, &exec).unwrap();
         let direct = pd_analysis::CheckFrame::build(&store, &fx);
-        prop_assert_eq!(cached.rows(), direct.rows());
+        prop_assert_eq!(cached.frame.rows(), direct.rows());
         prop_assert_eq!(first.built + first.reused, store.domains().len());
-        let (again, second) = cache.frame(key, StoreSource::Memory(&store), &fx, &exec).unwrap();
+        let (again, second) = cache.frame(key, rows, &fx, &exec).unwrap();
         prop_assert!(Arc::ptr_eq(&cached, &again), "second call must be a cache hit");
         prop_assert_eq!(second.built, 0);
         prop_assert_eq!(second.reused, store.domains().len());
+    }
+}
+
+/// A crowd to finish summaries against (only its country count is read).
+fn crowd() -> &'static pd_sheriff::Crowd {
+    static WORLD: std::sync::OnceLock<pd_core::World> = std::sync::OnceLock::new();
+    &WORLD
+        .get_or_init(|| pd_core::World::build(&pd_core::ExperimentConfig::smoke(7)))
+        .crowd
+}
+
+/// Splits `store` into parts of whole domains: `shard-<i>.example`
+/// goes to part `part_of[i]`.
+fn whole_domain_parts<'a>(
+    store: &'a MeasurementStore,
+    part_of: &[usize],
+) -> Vec<Vec<&'a Measurement>> {
+    let mut parts = vec![Vec::new(); part_of.len()];
+    for m in store.records() {
+        let domain_idx: usize = m.domain["shard-".len()..m.domain.len() - ".example".len()]
+            .parse()
+            .expect("generated domain");
+        parts[part_of[domain_idx]].push(m);
+    }
+    parts
+}
+
+proptest! {
+    /// The Sec. 3.2 summary folds from per-part facts: for any store
+    /// and any split of its domains into parts (each part holding whole
+    /// domains), the facts of the parts, folded in any order, finish to
+    /// the numbers of one whole-store `SummaryScan`.
+    #[test]
+    fn prop_folded_summary_facts_equal_whole_store_scan(
+        crowd_draws in proptest::collection::vec((0u8..6, 0u8..4, 0u8..5, 0u32..9, 0u64..6), 0..40),
+        crawl_draws in proptest::collection::vec((0u8..6, 0u8..4, 0u8..5, 0u32..9, 0u64..6), 0..40),
+        part_of in proptest::collection::vec(0usize..4, 6),
+        fail_stride in 1usize..5,
+    ) {
+        let store = |draws: &[(u8, u8, u8, u32, u64)]| {
+            let mut store = MeasurementStore::new();
+            for (i, (domain_idx, slug_idx, obs, user, day)) in draws.iter().enumerate() {
+                let mut m = measurement(*domain_idx, *slug_idx, *obs, 10_000, i % fail_stride == 0);
+                m.user = UserId::new(*user);
+                m.time = SimTime::from_millis(day * 24 * 3_600_000);
+                store.push(m);
+            }
+            store
+        };
+        let (crowd_store, crawl_store) = (store(&crowd_draws), store(&crawl_draws));
+        let mut scan = SummaryScan::new();
+        crowd_store.records().iter().for_each(|m| scan.crowd_row(m));
+        crawl_store.records().iter().for_each(|m| scan.crawl_row(m));
+        let whole = scan.finish(crowd());
+
+        let mut facts = SummaryFacts::default();
+        for part in whole_domain_parts(&crawl_store, &part_of) {
+            facts.merge(&SummaryFacts::crawl(part));
+        }
+        for part in whole_domain_parts(&crowd_store, &part_of).into_iter().rev() {
+            facts.merge(&SummaryFacts::crowd(part));
+        }
+        prop_assert_eq!(facts.finish(crowd()), whole);
     }
 }
 

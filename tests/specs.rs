@@ -11,13 +11,15 @@
 //! * **CLI** — `pd run --spec FILE.json` executes a checked-in-style
 //!   spec, `pd scenarios show --json` emits a spec that parses back to
 //!   the builtin, `--set` overrides compose, typos get did-you-mean,
-//!   and spec runs record their spec in the artifact manifest.
+//!   and spec runs record their spec in the artifact manifest,
+//! * **bounds** — a crawl patched past the FX series is a typed
+//!   `SpecError`, not a panic.
 
 use pd_core::spec::builtin_specs;
 use pd_core::store::ArtifactStore;
 use pd_core::{
     BuildError, ConfigPatch, Executor, Experiment, ExperimentConfig, NullObserver, Profile,
-    RunPlan, ScenarioParams, ScenarioSpec, SweepAxis, World,
+    RunPlan, ScenarioParams, ScenarioSpec, SpecError, SweepAxis, World,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -119,6 +121,43 @@ fn builder_rejects_invalid_specs() {
         Experiment::builder().spec(invalid).run_sweep(),
         Err(BuildError::InvalidSpec { .. })
     ));
+}
+
+/// A patched crawl that leaves the analysis probes no room in the FX
+/// series (attribution probes day `start_day + days + 3`) is a typed
+/// spec error at lowering — for the library and for `pd run --set` —
+/// never a mid-run panic.
+#[test]
+fn crawl_past_the_fx_series_is_a_typed_spec_error() {
+    let mut late = ScenarioSpec::single("late", "crawl at the end of the FX series");
+    late.patch.crawl_start_day = Some(57);
+    assert_eq!(
+        late.lower(&smoke_params()).err(),
+        Some(SpecError::CrawlBeyondFx {
+            start_day: 57,
+            days: 2,
+            fx_days: 60,
+        })
+    );
+    // 54 + 2 + 3 = 59 is the last day of a 60-day series: still fine.
+    late.patch.crawl_start_day = Some(54);
+    assert!(late.lower(&smoke_params()).is_ok());
+
+    let out = pd()
+        .args([
+            "run",
+            "paper",
+            "--profile",
+            "smoke",
+            "--set",
+            "crawl.start_day=57",
+        ])
+        .output()
+        .expect("pd runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("FX series"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 /// A nonzero failure rate drops the same requests at any thread count
